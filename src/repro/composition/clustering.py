@@ -6,7 +6,7 @@ centroid, yielding **QoS levels** ``QL_r`` (rank 0 = best).  Services inside
 a level that share (quantised) QoS values form **QoS classes** ``QC_{r,e}``.
 
 The implementation is a plain Lloyd's algorithm over dicts of normalised
-values — no numpy dependency, deterministic under a seed, with k-means++
+values — pure Python, deterministic under a seed, with k-means++
 style seeding for robustness.  The computational complexity symbol the
 paper calls Δ (Delta) corresponds to ``iterations × k × n × d``.
 """

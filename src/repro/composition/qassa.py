@@ -48,7 +48,6 @@ from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
 from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
-from repro.composition import kernels
 from repro.composition.aggregation import AggregationApproach, aggregation_bounds
 from repro.composition.clustering import QoSLevel, build_qos_levels
 from repro.composition.request import UserRequest
@@ -73,13 +72,6 @@ class QassaConfig:
     how many ranked services each activity retains for dynamic binding.
     ``max_combinations`` caps the global phase's lattice exploration;
     ``repair_passes`` bounds the per-state constraint-repair loop.
-
-    ``vectorized`` routes the local-phase scoring pass and the global
-    normaliser's aggregation bounds through the numpy kernels of
-    :mod:`repro.composition.kernels`.  The kernels are bit-identical to
-    the scalar path (enforced by the differential fuzzing harness), so
-    the flag changes throughput, never plans; it is silently ignored when
-    numpy is not installed.
     """
 
     levels_per_activity: int = 4
@@ -90,7 +82,6 @@ class QassaConfig:
     feasible_beam: int = 2
     prune_dominated: bool = True
     seed: int = 0
-    vectorized: bool = True
 
 
 @dataclass
@@ -152,7 +143,6 @@ class QASSA:
         self.config = config
         self.cache = cache
         self.obs = observability_core.resolve(observability)
-        self._use_kernels = config.vectorized and kernels.HAVE_NUMPY
 
     # ------------------------------------------------------------------
     # public entry point
@@ -493,15 +483,8 @@ class QASSA:
             kept_services = [kept_services[i] for i in keep]
             kept_vectors = [kept_vectors[i] for i in keep]
 
-        if self._use_kernels and kept_vectors:
-            points, utilities = kernels.score_candidates(
-                kept_vectors, normalizer, relevant, weights
-            )
-        else:
-            points = [normalizer.normalise_vector(v) for v in kept_vectors]
-            utilities = [
-                service_utility(v, normalizer, weights) for v in kept_vectors
-            ]
+        points = [normalizer.normalise_vector(v) for v in kept_vectors]
+        utilities = [service_utility(v, normalizer, weights) for v in kept_vectors]
         stats.utility_evaluations += len(utilities)
 
         levels, km = build_qos_levels(
@@ -535,18 +518,6 @@ class QASSA:
         :func:`~repro.composition.selection.make_global_normalizer` but
         reusable from cached local selections without rescanning candidates.
         """
-        if self._use_kernels and relevant:
-            bounds = kernels.batched_aggregation_bounds(
-                task,
-                relevant,
-                {name: sel.extremes for name, sel in locals_.items()},
-                self.approach,
-            )
-            spans = {
-                pname: (min(best, worst), max(best, worst))
-                for pname, (best, worst) in bounds.items()
-            }
-            return Normalizer(dict(relevant), spans)
         spans: Dict[str, Tuple[float, float]] = {}
         for pname, prop in relevant.items():
             per_activity = {
@@ -725,23 +696,6 @@ class QASSA:
         return None
 
     # ------------------------------------------------------------------
-    def _build_plan(
-        self,
-        request: UserRequest,
-        names: Sequence[str],
-        state: Tuple[int, ...],
-        locals_: Mapping[str, LocalSelection],
-        assignment: Mapping[str, ServiceDescription],
-        aggregated: QoSVector,
-        utility: float,
-        relevant: Mapping[str, QoSProperty],
-        stats: SelectionStatistics,
-    ) -> CompositionPlan:
-        return self._make_plan_object(
-            request, names, state, locals_, assignment, aggregated, utility,
-            feasible=True,
-        )
-
     def _make_plan_object(
         self,
         request: UserRequest,

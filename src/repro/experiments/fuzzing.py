@@ -350,83 +350,3 @@ def fuzz_sweep(
         check_instance(generate_instance(seed, spec), spec) for seed in seeds
     ]
 
-
-# ----------------------------------------------------------------------
-# scalar vs vectorized QASSA (the numpy-kernel bit-identity sweep)
-# ----------------------------------------------------------------------
-def check_vectorized_identity(instance: FuzzInstance) -> List[str]:
-    """Divergences between scalar and vectorized QASSA on one instance.
-
-    The vectorized kernels (:mod:`repro.composition.kernels`) promise
-    *byte*-identity with the scalar hot path, so everything is compared
-    exactly: selected service ids, the full ranked alternate lists, the
-    ``repr`` of utility and every aggregated value (catching last-ulp
-    drift that ``==``-on-rounded would hide), feasibility — and, on the
-    infeasible side, the exception type and message.
-    """
-    scalar = QASSA(instance.properties, instance.approach,
-                   QassaConfig(vectorized=False))
-    vector = QASSA(instance.properties, instance.approach,
-                   QassaConfig(vectorized=True))
-    divergences: List[str] = []
-    for best_effort in (False, True):
-        s_plan, s_err = _run(scalar, instance, best_effort=best_effort)
-        v_plan, v_err = _run(vector, instance, best_effort=best_effort)
-        label = "best-effort" if best_effort else "strict"
-        if (s_plan is None) != (v_plan is None):
-            divergences.append(
-                f"{label}: scalar "
-                f"{'raised' if s_plan is None else 'planned'} but "
-                f"vectorized {'raised' if v_plan is None else 'planned'}"
-            )
-            continue
-        if s_plan is None:
-            if type(s_err) is not type(v_err) or str(s_err) != str(v_err):
-                divergences.append(
-                    f"{label}: exceptions diverged: {s_err!r} != {v_err!r}"
-                )
-            continue
-        if s_plan.service_ids() != v_plan.service_ids():
-            divergences.append(
-                f"{label}: bindings diverged: "
-                f"{s_plan.service_ids()} != {v_plan.service_ids()}"
-            )
-        for name in s_plan.selections:
-            s_ranked = [s.service_id
-                        for s in s_plan.selections[name].services]
-            v_ranked = [s.service_id
-                        for s in v_plan.selections[name].services]
-            if s_ranked != v_ranked:
-                divergences.append(
-                    f"{label}: ranked list of {name!r} diverged"
-                )
-        if repr(s_plan.utility) != repr(v_plan.utility):
-            divergences.append(
-                f"{label}: utility drifted: "
-                f"{s_plan.utility!r} != {v_plan.utility!r}"
-            )
-        if s_plan.feasible != v_plan.feasible:
-            divergences.append(f"{label}: feasibility diverged")
-        for name in s_plan.aggregated_qos:
-            s_value = s_plan.aggregated_qos[name]
-            v_value = v_plan.aggregated_qos.get(name)
-            if repr(s_value) != repr(v_value):
-                divergences.append(
-                    f"{label}: aggregated {name!r} drifted: "
-                    f"{s_value!r} != {v_value!r}"
-                )
-    return divergences
-
-
-def vectorized_sweep(
-    seeds: Sequence[int], spec: FuzzSpec = FuzzSpec()
-) -> Dict[int, List[str]]:
-    """Scalar-vs-vectorized check over many seeds; {seed: divergences}.
-
-    Returns an entry per seed (empty list = byte-identical), so callers
-    can both assert emptiness and report coverage.
-    """
-    return {
-        seed: check_vectorized_identity(generate_instance(seed, spec))
-        for seed in seeds
-    }

@@ -15,14 +15,12 @@ runtime's: :meth:`submit` (request → :class:`~repro.runtime.handle.RunHandle`,
 processed inline) and :meth:`run` (request → :class:`RunResult`).  Code
 written against it moves to the pooled
 :class:`~repro.runtime.runtime.MiddlewareRuntime` without changes.  The
-pre-redesign entrypoints (``compose`` / ``compose_ranked`` / ``execute``)
-remain as deprecated shims — see the "Public API & migration" section of
-``docs/ARCHITECTURE.md``.
+"Public API & migration" section of ``docs/ARCHITECTURE.md`` maps the
+removed pre-redesign entrypoints onto this surface.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -50,7 +48,7 @@ from repro.observability import core as observability_core
 from repro.qos.sla import ComplianceTracker, derive_slas
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.degradation import PartialExecutionReport
-from repro.runtime.handle import RunHandle, RunSpec, completed_handle
+from repro.runtime.handle import RunHandle, RunSpec
 from repro.env.environment import PervasiveEnvironment
 
 
@@ -389,17 +387,21 @@ class QASOM:
             request=request, plan=plan, execute=execute, adapt=adapt,
             ranked=ranked, best_effort=best_effort, track_sla=track_sla,
         )
-        submitted_sim = self.environment.clock.now()
+        # Created before the work, so ``total_seconds`` measures it (a
+        # handle built afterwards reads ~0 ms for a whole selection).
+        handle = RunHandle(spec)
+        handle._mark_running()
+        # Simulated-clock latency annotations, mirroring what the
+        # concurrent runtime stamps on pooled handles.
+        handle.submitted_sim = self.environment.clock.now()
         context = (
             TraceContext.mint() if self.observability.enabled else None
         )
+        handle.trace_context = context
 
-        def stamped(handle):
-            # Simulated-clock latency annotations, mirroring what the
-            # concurrent runtime stamps on pooled handles.
-            handle.trace_context = context
-            handle.submitted_sim = submitted_sim
+        def finish(result=None, plans=None):
             handle.finished_sim = self.environment.clock.now()
+            handle._complete(result, plans)
             return handle
 
         task_name = (
@@ -420,7 +422,7 @@ class QASOM:
                         spec.request, k=spec.ranked
                     )
                     request_span.set(status="done")
-                    return stamped(completed_handle(spec, plans=plans))
+                    return finish(plans=plans)
                 if spec.plan is not None:
                     chosen = spec.plan
                 else:
@@ -429,12 +431,12 @@ class QASOM:
                     )
                 if not spec.execute:
                     request_span.set(status="done")
-                    return stamped(completed_handle(spec, plans=[chosen]))
+                    return finish(plans=[chosen])
                 result = self._execute_plan(
                     chosen, adapt=spec.adapt, track_sla=spec.track_sla
                 )
                 request_span.set(status="done")
-        return stamped(completed_handle(spec, result=result))
+        return finish(result=result)
 
     def run(
         self,
@@ -459,42 +461,3 @@ class QASOM:
         if self.observability.enabled:
             result.trace = run_span
         return result
-
-    # ------------------------------------------------------------------
-    # deprecated pre-redesign entrypoints (thin shims)
-    # ------------------------------------------------------------------
-    def compose(
-        self, request: UserRequest, best_effort: bool = False
-    ) -> CompositionPlan:
-        """Deprecated: use ``submit(request, execute=False).plan()``."""
-        warnings.warn(
-            "QASOM.compose() is deprecated; use "
-            "submit(request, execute=False).plan()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._compose_plan(request, best_effort=best_effort)
-
-    def compose_ranked(
-        self, request: UserRequest, k: int = 3
-    ) -> List[CompositionPlan]:
-        """Deprecated: use ``submit(request, execute=False, ranked=k)
-        .alternatives()``."""
-        warnings.warn(
-            "QASOM.compose_ranked() is deprecated; use "
-            "submit(request, execute=False, ranked=k).alternatives()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._compose_ranked_plans(request, k=k)
-
-    def execute(
-        self,
-        plan: CompositionPlan,
-        adapt: bool = True,
-        track_sla: bool = False,
-    ) -> RunResult:
-        """Deprecated: use ``submit(plan=plan).result()``."""
-        warnings.warn(
-            "QASOM.execute() is deprecated; use submit(plan=plan).result()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._execute_plan(plan, adapt=adapt, track_sla=track_sla)

@@ -286,14 +286,3 @@ class RunHandle:
     def __repr__(self) -> str:
         return f"RunHandle(status={self._status.value})"
 
-
-def completed_handle(
-    spec: RunSpec,
-    result: Optional["RunResult"] = None,
-    plans: Optional[List[CompositionPlan]] = None,
-) -> RunHandle:
-    """A handle born terminal — the inline (serial) submission path."""
-    handle = RunHandle(spec)
-    handle._mark_running()
-    handle._complete(result, plans)
-    return handle

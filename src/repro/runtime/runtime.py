@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
@@ -99,9 +98,7 @@ class RuntimeConfig:
     rejected — backpressure); ``deadline`` is the per-request completion
     budget on the wall clock (the default policy has no timeout).
     ``drain_on_close`` controls whether :meth:`MiddlewareRuntime.close`
-    finishes the queued work or cancels it.  ``worker_threads`` is the
-    deprecated pre-backend spelling of the pool size; when given it maps
-    onto ``workers`` with a :class:`DeprecationWarning`.
+    finishes the queued work or cancels it.
 
     ``admission`` selects the backpressure policy: ``"static"`` (the
     default — the fixed ``queue_depth`` bound, byte-identical to the
@@ -115,9 +112,6 @@ class RuntimeConfig:
 
     backend: str = "thread"
     workers: int = 4
-    #: Deprecated alias of ``workers`` (the pre-backend spelling); mapped
-    #: onto ``workers`` in ``__post_init__`` with a DeprecationWarning.
-    worker_threads: Optional[int] = None
     queue_depth: int = 64
     deadline: TimeoutPolicy = field(default_factory=TimeoutPolicy)
     drain_on_close: bool = True
@@ -150,14 +144,6 @@ class RuntimeConfig:
     forensics_last_events: int = 256
 
     def __post_init__(self) -> None:
-        if self.worker_threads is not None:
-            warnings.warn(
-                "RuntimeConfig(worker_threads=...) is deprecated; use "
-                "RuntimeConfig(workers=..., backend='thread')",
-                DeprecationWarning,
-                stacklevel=3,  # through the dataclass __init__ to the caller
-            )
-            object.__setattr__(self, "workers", self.worker_threads)
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(
                 f"unknown execution backend {self.backend!r}; "

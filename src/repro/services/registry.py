@@ -21,6 +21,7 @@ Two guarantees matter to callers that overlap reads with churn:
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ServiceDescriptionError
@@ -96,6 +97,9 @@ class ServiceRegistry:
         self._by_capability: Dict[str, Set[str]] = {}
         self._listeners: List[RegistryListener] = []
         self._generation = 0
+        #: Serialises writers and snapshots: a write mutates both indexes
+        #: and the generation, and a snapshot must see all of it or none.
+        self._lock = threading.Lock()
 
     @property
     def generation(self) -> int:
@@ -124,14 +128,15 @@ class ServiceRegistry:
         fires an ``updated`` event (providers refresh their advertised QoS
         this way).
         """
-        previous = self._by_id.get(service.service_id)
-        if previous is not None:
-            self._unindex(previous)
-        self._by_id[service.service_id] = service
-        self._by_capability.setdefault(service.capability, set()).add(
-            service.service_id
-        )
-        self._generation += 1
+        with self._lock:
+            previous = self._by_id.get(service.service_id)
+            if previous is not None:
+                self._unindex(previous)
+            self._by_id[service.service_id] = service
+            self._by_capability.setdefault(service.capability, set()).add(
+                service.service_id
+            )
+            self._generation += 1
         self._notify(EVENT_UPDATED if previous else EVENT_PUBLISHED, service)
         return service
 
@@ -141,14 +146,15 @@ class ServiceRegistry:
 
     def withdraw(self, service_id: str) -> ServiceDescription:
         """Remove a service (provider left the environment)."""
-        try:
-            service = self._by_id.pop(service_id)
-        except KeyError:
-            raise ServiceDescriptionError(
-                f"cannot withdraw unknown service {service_id!r}"
-            ) from None
-        self._unindex(service, drop_id=False)
-        self._generation += 1
+        with self._lock:
+            try:
+                service = self._by_id.pop(service_id)
+            except KeyError:
+                raise ServiceDescriptionError(
+                    f"cannot withdraw unknown service {service_id!r}"
+                ) from None
+            self._unindex(service, drop_id=False)
+            self._generation += 1
         self._notify(EVENT_WITHDRAWN, service)
         return service
 
@@ -189,20 +195,18 @@ class ServiceRegistry:
     def snapshot(self) -> RegistrySnapshot:
         """A consistent, immutable copy of the whole directory.
 
-        The copy is re-taken until the generation is stable across the
-        read, so a snapshot never interleaves with a concurrent publish or
-        withdraw (single-writer registries converge on the first pass).
+        Taken under the writers' lock, so a snapshot never interleaves
+        with a concurrent publish or withdraw: every id it indexes
+        resolves, and its generation names exactly the copied contents.
         """
-        while True:
-            generation = self._generation
+        with self._lock:
             by_id = dict(self._by_id)
             by_capability = {
                 capability: tuple(ids)
-                for capability, ids in list(self._by_capability.items())
+                for capability, ids in self._by_capability.items()
                 if ids
             }
-            if self._generation == generation:
-                return RegistrySnapshot(generation, by_id, by_capability)
+            return RegistrySnapshot(self._generation, by_id, by_capability)
 
     # ------------------------------------------------------------------
     def subscribe(self, listener: RegistryListener) -> Callable[[], None]:

@@ -177,6 +177,25 @@ class TestStableApiSurface:
         ]
         assert deep == [], f"repro.cli bypasses repro.api: {deep}"
 
+    def test_api_import_does_not_load_numpy(self):
+        # pyproject declares no runtime dependencies; pulling numpy in
+        # would also cost every interpreter and process worker its memory
+        # and import time.  A fresh interpreter, since this one may have
+        # numpy loaded by other tests.
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.api; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "False"
+
     def test_examples_import_only_from_the_api(self):
         import pathlib
         import re
@@ -215,7 +234,7 @@ class TestKeywordOnlyConstruction:
 
 
 class TestDeprecatedShims:
-    """compose/compose_ranked/execute still work, under DeprecationWarning."""
+    """No deprecated entrypoint is left on the path the public surface takes."""
 
     @staticmethod
     def _middleware():
@@ -241,28 +260,6 @@ class TestDeprecatedShims:
         request = UserRequest(task=task, constraints=(),
                               weights={n: 1.0 for n in props})
         return middleware, request
-
-    def test_compose_warns_and_delegates(self):
-        middleware, request = self._middleware()
-        with pytest.warns(DeprecationWarning, match="submit"):
-            plan = middleware.compose(request)
-        assert plan.feasible == middleware.submit(
-            request, execute=False
-        ).plan().feasible
-
-    def test_compose_ranked_warns_and_delegates(self):
-        middleware, request = self._middleware()
-        with pytest.warns(DeprecationWarning, match="submit"):
-            proposals = middleware.compose_ranked(request, k=2)
-        assert proposals
-        assert proposals == sorted(proposals, key=lambda p: -p.utility)
-
-    def test_execute_warns_and_delegates(self):
-        middleware, request = self._middleware()
-        plan = middleware.submit(request, execute=False).plan()
-        with pytest.warns(DeprecationWarning, match="submit"):
-            result = middleware.execute(plan)
-        assert result.report is not None
 
     def test_internal_modules_raise_no_deprecation_warnings(self):
         """An end-to-end run through the new surface is shim-free."""

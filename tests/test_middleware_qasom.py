@@ -51,6 +51,15 @@ class TestCompose:
         with pytest.raises(NoCandidateError):
             middleware.submit(request, execute=False).plan()
 
+    def test_inline_handle_latency_covers_the_selection(
+        self, middleware, scenario
+    ):
+        # The wall-clock stamps must bracket the work: a handle stamped
+        # after it reads ~0 ms however long the selection took.
+        handle = middleware.submit(scenario.request, execute=False)
+        plan = handle.plan()
+        assert handle.total_seconds >= plan.statistics.elapsed_seconds > 0
+
     def test_candidates_for_uses_discovery(self, middleware, scenario):
         candidates = middleware.candidates_for(scenario.task)
         sizes = candidates.sizes()

@@ -7,8 +7,8 @@ fixture: pooled results stay byte-identical to serial, admission /
 deadline / rejection semantics are backend-independent, ``close()`` leaks
 nothing, and a killed worker process surfaces as a requeue or a
 :class:`~repro.errors.WorkerCrashError` — never a hang.  Config-level
-validation (unknown names, unsupported feature combinations, the
-``worker_threads`` deprecation shim) rides along.
+validation (unknown names, unsupported feature combinations) rides
+along.
 """
 
 from __future__ import annotations
@@ -291,18 +291,3 @@ class TestConfigValidation:
             UnsupportedBackendFeatureError, MiddlewareRuntimeError
         )
 
-
-class TestWorkerThreadsShim:
-    def test_worker_threads_warns_and_maps_onto_workers(self):
-        with pytest.warns(DeprecationWarning, match="worker_threads"):
-            config = RuntimeConfig(worker_threads=6)
-        assert config.workers == 6
-        assert config.backend == "thread"
-
-    def test_workers_spelling_is_shim_free(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            config = RuntimeConfig(workers=6)
-        assert config.workers == 6

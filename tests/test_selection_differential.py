@@ -111,28 +111,3 @@ class TestPinnedRegressions:
             for name in b.candidates.activity_names()
         ]
 
-
-class TestVectorizedKernelSweep:
-    """Scalar vs vectorized QASSA: 40 seeds, byte-identical or bust."""
-
-    #: Pattern-heavy envelope: loops and conditionals exercise every
-    #: branch of the batched aggregation-bounds kernel.
-    VECTOR_SPEC = FuzzSpec(
-        max_activities=6, max_services=16, max_constraints=4,
-        pattern_probability=0.7, tractable_cap=100_000,
-    )
-    VECTOR_SEEDS = tuple(range(40))
-
-    def test_forty_seed_sweep_is_byte_identical(self):
-        numpy = pytest.importorskip("numpy")
-        assert numpy is not None
-        from repro.experiments.fuzzing import vectorized_sweep
-
-        results = vectorized_sweep(self.VECTOR_SEEDS, self.VECTOR_SPEC)
-        failures = [
-            f"seed={seed}: {'; '.join(divergences)}"
-            for seed, divergences in results.items()
-            if divergences
-        ]
-        assert failures == [], "\n".join(failures)
-        assert len(results) == 40

@@ -224,3 +224,42 @@ class TestConcurrentChurn:
             for thread in threads:
                 thread.join(timeout=10.0)
         assert not errors, f"churn thread raised: {errors[0]!r}"
+
+    def test_snapshot_never_sees_a_half_applied_write(self):
+        import threading
+
+        registry = ServiceRegistry()
+        services = [svc(f"s{i}", "task:C") for i in range(3)]
+        registry.publish_all(services)
+        paused, resume = threading.Event(), threading.Event()
+
+        class ParkingIndex(dict):
+            # withdraw() has popped the id but not yet unindexed it when it
+            # looks the capability up: park the writer there.
+            def get(self, key, default=None):
+                paused.set()
+                resume.wait(timeout=10.0)
+                return super().get(key, default)
+
+        registry._by_capability = ParkingIndex(registry._by_capability)
+        writer = threading.Thread(
+            target=registry.withdraw, args=(services[0].service_id,)
+        )
+        snapshots = []
+        reader = threading.Thread(
+            target=lambda: snapshots.append(registry.snapshot())
+        )
+        writer.start()
+        try:
+            assert paused.wait(timeout=10.0)
+            reader.start()
+            reader.join(timeout=0.2)  # a snapshot taken mid-write, if allowed
+        finally:
+            resume.set()
+            writer.join(timeout=10.0)
+        reader.join(timeout=10.0)
+        assert not writer.is_alive() and not reader.is_alive()
+        (snapshot,) = snapshots
+        for cap in snapshot.capabilities():
+            for service in snapshot.by_capability(cap):
+                assert service.service_id in snapshot
