@@ -10,7 +10,7 @@ Twenty churn steps each replace one provider in one activity's pool
 (round-robin), then both arms re-select:
 
 * **cached** — one long-lived ``QASSA`` wired to a ``SelectionCache``
-  (the middleware's ``incremental_selection`` default);
+  (what the middleware and every runtime worker always use);
 * **cold** — a fresh, cache-less ``QASSA`` per step.
 
 Assertions: byte-equal plans on every step, total speedup >= 3x, and a

@@ -145,11 +145,16 @@ def worst_window(report):
 
 
 def window_series_ms(report):
-    """Per-window {index: (p50, p95, p99)} of simulated latency, in ms."""
+    """Per-window {index: (p50, p95, p99)} of simulated latency, in ms.
+
+    A window that completed nothing has no latency and reads
+    ``(None, None, None)`` — recorded as null, never as 0.0 ms.
+    """
     series = {}
     for stats in report.latency_windows().series():
         series[stats.index] = (
-            stats.p50 * 1e3, stats.p95 * 1e3, stats.p99 * 1e3
+            (stats.p50 * 1e3, stats.p95 * 1e3, stats.p99 * 1e3)
+            if stats.count else (None, None, None)
         )
     return series
 
@@ -169,10 +174,11 @@ def test_adaptive_admission_tail_latency(benchmark, emit):
     # --- per-window p50/p95/p99 series, both arms, to JSON -----------------
     static_windows = window_series_ms(static_report)
     adaptive_windows = window_series_ms(adaptive_report)
+    # A window outside one arm's timeline is empty for that arm too.
     sweep = Sweep("tail_latency", x_label="window")
     for index in sorted(set(static_windows) | set(adaptive_windows)):
-        s50, s95, s99 = static_windows.get(index, (0.0, 0.0, 0.0))
-        a50, a95, a99 = adaptive_windows.get(index, (0.0, 0.0, 0.0))
+        s50, s95, s99 = static_windows.get(index, (None, None, None))
+        a50, a95, a99 = adaptive_windows.get(index, (None, None, None))
         sweep.add(
             index,
             static_p50_ms=s50, static_p95_ms=s95, static_p99_ms=s99,

@@ -5,8 +5,9 @@ cheapest repair replaces it with another service of the same activity.
 QASSA deliberately selected *several* services per activity, so the first
 substitution candidates are the pre-selected alternates — no new discovery
 round is needed.  If none of them keeps the composition feasible, the
-activity's full (fresh) candidate set can be searched; only when that also
-fails does behavioural adaptation take over.
+activity's full (fresh) candidate set can be searched, best utility first
+by the plan's own local normaliser and the requester's weights; only when
+that also fails does behavioural adaptation take over.
 
 The substitution decision re-aggregates the composition's QoS with the
 monitor's *run-time estimates* for the surviving services (not their
@@ -23,8 +24,8 @@ from repro.qos.properties import QoSProperty
 from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
 from repro.composition.aggregation import aggregate_composition
-from repro.composition.selection import CompositionPlan
-from repro.composition.selection_cache import SelectionCache
+from repro.composition.selection import CompositionPlan, SelectedActivity
+from repro.composition.utility import service_utility
 from repro.adaptation.monitoring import QoSMonitor
 
 
@@ -46,16 +47,9 @@ class ServiceSubstitution:
         self,
         properties: Mapping[str, QoSProperty],
         monitor: Optional[QoSMonitor] = None,
-        selection_cache: Optional[SelectionCache] = None,
     ) -> None:
         self.properties = dict(properties)
         self.monitor = monitor
-        #: When the selector shared its :class:`SelectionCache`, fresh
-        #: candidates are ranked by the cached per-activity normaliser and
-        #: the last run's weights before being tried — the best substitute
-        #: by the *user's* utility is attempted first instead of whatever
-        #: order discovery returned.
-        self.selection_cache = selection_cache
 
     # ------------------------------------------------------------------
     def substitute(
@@ -67,10 +61,11 @@ class ServiceSubstitution:
         """Replace the failing service in ``plan`` (mutating the plan).
 
         Candidates are tried in order: the plan's pre-selected alternates,
-        then ``fresh_candidates`` (e.g. a new discovery round).  The first
-        candidate keeping the request's global constraints satisfied — under
-        run-time QoS estimates — wins.  Raises :class:`SubstitutionError`
-        when none does.
+        then ``fresh_candidates`` (e.g. a new discovery round), best utility
+        first when the plan carries the activity's local normaliser and in
+        the given order otherwise.  The first candidate keeping the
+        request's global constraints satisfied — under run-time QoS
+        estimates — wins.  Raises :class:`SubstitutionError` when none does.
         """
         activity_name = self._activity_of(plan, failing_service_id)
         selection = plan.selections[activity_name]
@@ -83,12 +78,12 @@ class ServiceSubstitution:
             if s.service_id != failing_service_id
             and all(s != existing for existing in tried)
         ]
-        if self.selection_cache is not None and fresh:
-            ranked = self.selection_cache.rank_candidates(activity_name, fresh)
-            if ranked is not None:
-                fresh = ranked
 
         for pool, is_fresh in ((tried, False), (fresh, True)):
+            if is_fresh:
+                # Ranked only once the alternates are exhausted: most
+                # substitutions never reach the fresh candidates.
+                pool = self._ranked(plan, selection, pool)
             for candidate in pool:
                 if candidate.service_id == failing_service_id:
                     continue
@@ -108,6 +103,26 @@ class ServiceSubstitution:
         )
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _ranked(
+        plan: CompositionPlan,
+        selection: SelectedActivity,
+        candidates: List[ServiceDescription],
+    ) -> List[ServiceDescription]:
+        """``candidates`` best utility first, scored with the selection's
+        local normaliser and the request's weights over its properties, so
+        they rank on the scale the selector ranked the activity on.
+        Without a normaliser the given order is kept."""
+        normalizer = selection.normalizer
+        if normalizer is None:
+            return candidates
+        weights = plan.request.normalised_weights(normalizer.properties)
+
+        def score(service: ServiceDescription) -> float:
+            return service_utility(service.advertised_qos, normalizer, weights)
+
+        return sorted(candidates, key=lambda s: (-score(s), s.service_id))
+
     def _activity_of(self, plan: CompositionPlan, service_id: str) -> str:
         for name, selection in plan.selections.items():
             if selection.primary.service_id == service_id:

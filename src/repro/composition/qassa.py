@@ -372,7 +372,7 @@ class QASSA:
                 name: self._local_phase(name, services, relevant, weights, stats)
                 for name, services in candidates.items()
             }
-        cache.begin(self._context_key(relevant, weights), weights)
+        cache.begin(self._context_key(relevant, weights))
         locals_: Dict[str, LocalSelection] = {}
         for name, services in candidates.items():
             fp = SelectionCache.fingerprint(services)
@@ -737,7 +737,9 @@ class QASSA:
                     break
                 if service != primary and service not in ranked:
                     ranked.append(service)
-            selections[name] = SelectedActivity(name, ranked)
+            selections[name] = SelectedActivity(
+                name, ranked, normalizer=sel.normalizer
+            )
         return CompositionPlan(
             task=request.task,
             request=request,

@@ -134,10 +134,16 @@ class SelectedActivity:
 
     ``services[0]`` is the primary binding; the tail provides the alternates
     QASSA deliberately keeps for dynamic binding and substitution (§I.5).
+    ``normalizer`` is the activity's local-phase normaliser when the
+    selector has one (QASSA does): substitution scores fresh candidates
+    with it, so they rank on the same scale as the selected services.
     """
 
     activity_name: str
     services: List[ServiceDescription]
+    normalizer: Optional[Normalizer] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.services:
@@ -236,7 +242,9 @@ class CompositionPlan:
             task=self.task,
             request=self.request,
             selections={
-                name: SelectedActivity(sel.activity_name, list(sel.services))
+                name: SelectedActivity(
+                    sel.activity_name, list(sel.services), sel.normalizer
+                )
                 for name, sel in self.selections.items()
             },
             aggregated_qos=self.aggregated_qos,

@@ -26,17 +26,16 @@ Design notes
   differs from the previous run's the whole cache is flushed.  Within one
   context, cached results are byte-equal to recomputed ones because the
   local phase is deterministic (seeded k-means, stable sorts).
-* :meth:`rank_candidates` lets the substitution path reuse the cached
-  per-activity normaliser and the last run's weights to score fresh
-  candidates without a full re-selection.
+* The cache is private to one selector.  Substitution does not read it:
+  each plan carries its activities' local normalisers
+  (:attr:`~repro.composition.selection.SelectedActivity.normalizer`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.services.description import ServiceDescription
-from repro.composition.utility import service_utility
 
 #: One candidate set's identity: ``(service_id, advertised_qos)`` per
 #: service, in pool order.  ``QoSVector`` is hashable and value-compares,
@@ -50,7 +49,6 @@ class SelectionCache:
     def __init__(self) -> None:
         self._entries: Dict[str, Tuple[Fingerprint, Any]] = {}
         self._context_key: Optional[Any] = None
-        self._weights: Dict[str, float] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -64,7 +62,7 @@ class SelectionCache:
         """Identity of a candidate pool for caching purposes."""
         return tuple((s.service_id, s.advertised_qos) for s in services)
 
-    def begin(self, context_key: Any, weights: Mapping[str, float]) -> None:
+    def begin(self, context_key: Any) -> None:
         """Start a selection run under ``context_key``.
 
         A context change (different relevant properties, weights, approach
@@ -76,7 +74,6 @@ class SelectionCache:
                 self.invalidations += 1
             self._entries.clear()
             self._context_key = context_key
-        self._weights = dict(weights)
 
     def lookup(self, activity_name: str, fingerprint: Fingerprint) -> Optional[Any]:
         """The cached payload for an unchanged candidate pool, else None."""
@@ -96,34 +93,3 @@ class SelectionCache:
             self.invalidations += 1
         self._entries.clear()
         self._context_key = None
-        self._weights = {}
-
-    # ------------------------------------------------------------------
-    def rank_candidates(
-        self,
-        activity_name: str,
-        services: Sequence[ServiceDescription],
-    ) -> Optional[List[ServiceDescription]]:
-        """Rank fresh candidates with the cached normaliser + last weights.
-
-        Substitution discovers replacement services *after* the selection
-        run that populated this cache; scoring them against the cached
-        per-activity normaliser keeps their utilities comparable with the
-        original ranking without recomputing the local phase.  Returns
-        ``None`` when the activity has no cached entry (caller falls back
-        to its unscored ordering).
-        """
-        entry = self._entries.get(activity_name)
-        if entry is None or not self._weights:
-            return None
-        normalizer = getattr(entry[1], "normalizer", None)
-        if normalizer is None:
-            return None
-        weights = self._weights
-
-        def score(service: ServiceDescription) -> float:
-            return service_utility(
-                service.advertised_qos, normalizer, weights
-            )
-
-        return sorted(services, key=lambda s: (-score(s), s.service_id))

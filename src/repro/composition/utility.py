@@ -77,6 +77,11 @@ class Normalizer:
         }
         return cls(properties, spans)
 
+    @property
+    def properties(self) -> Tuple[str, ...]:
+        """Names of the properties this normaliser spans, in build order."""
+        return tuple(self._spans)
+
     def span(self, name: str) -> Tuple[float, float]:
         s = self._spans[name]
         return (s.low, s.high)

@@ -148,10 +148,9 @@ class WorkerProcessCrash(WorkerCrashError):
 
 class UnsupportedBackendFeatureError(MiddlewareRuntimeError):
     """A runtime feature was requested on an execution backend that cannot
-    honour it (e.g. chaos injection, the flight recorder or cross-layer
-    estimation on the process backend, which cannot share parent-side
-    mutable state with its workers).  Raised at construction time — never a
-    silent no-op."""
+    honour it: cross-layer estimation on the process backend, whose worker
+    processes cannot observe the parent's live device/link state.  Raised
+    at construction time — never a silent no-op."""
 
 
 class RuntimeInvariantError(MiddlewareRuntimeError):

@@ -36,14 +36,6 @@ class MiddlewareConfig:
     #: latency/loss) before selection sees the candidates — the operational
     #: form of Ch. III's end-to-end dependencies.
     infrastructure_aware: bool = False
-    #: When on, the middleware wires a shared
-    #: :class:`~repro.composition.selection_cache.SelectionCache` into QASSA
-    #: and substitution: repeated selections reuse per-activity local-phase
-    #: results for activities whose candidate pool is unchanged, so churn
-    #: and fault events recompute only what they touched.  Chosen
-    #: compositions are identical either way; turn off to force full
-    #: recomputation on every request.  See ``docs/PERFORMANCE.md``.
-    incremental_selection: bool = True
     max_execution_attempts: int = 3
     seed: int = 0
     #: Tracing + metrics for every component the middleware constructs

@@ -113,25 +113,18 @@ class QASOM:
             from repro.qos.dependencies import CrossLayerEstimator
 
             self.estimator = CrossLayerEstimator(environment)
-        # Incremental re-selection: one cache shared by the selector (reuse
-        # of per-activity local phases across compose() calls) and the
-        # substitution path (utility-ranking of fresh candidates).
-        self.selection_cache: Optional[SelectionCache] = (
-            SelectionCache() if config.incremental_selection else None
-        )
+        # Incremental re-selection: the selector reuses per-activity local
+        # phases across requests whose candidate pools did not change.
         self.selector = QASSA(
             self.properties, config.aggregation, config.qassa,
-            observability=observability, cache=self.selection_cache,
+            observability=observability, cache=SelectionCache(),
         )
 
         # Adaptation framework.
         self.monitor = QoSMonitor(
             self.properties, config.monitor, observability=observability
         )
-        self.substitution = ServiceSubstitution(
-            self.properties, self.monitor,
-            selection_cache=self.selection_cache,
-        )
+        self.substitution = ServiceSubstitution(self.properties, self.monitor)
         self.repository = repository
         self.behavioural: Optional[BehaviouralAdaptation] = None
         if repository is not None:

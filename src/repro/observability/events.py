@@ -5,9 +5,13 @@ Spans answer "how long did each stage take"; the flight recorder answers
 crashed worker or a breached SLO can be debugged from after the fact.
 Every lifecycle edge the runtime crosses (admission verdicts, adaptive
 depth changes, worker pickups, chaos injections, stalls, crashes,
-restarts, requeues, retry-budget denials, commits, deadline expiries)
-drops one :class:`RuntimeEvent` into the ring, stamped with wall time,
-simulated time, the request's trace id, and a global sequence number.
+restarts, requeues, retry-budget denials, commits, deadline expiries,
+completions, failures, cancellations) drops one :class:`RuntimeEvent`
+into the ring, stamped with wall time, simulated time, the request's
+trace id, and a global sequence number.  Every request that reaches a
+terminal state leaves exactly one terminal event: ``request.done``,
+``request.failed``, ``deadline.expired``, ``admission.reject`` or
+``request.cancelled``.
 
 The ring is bounded (oldest events fall off) and guarded by one lock, so
 recording from eight worker threads is safe and cheap; the disabled path
@@ -43,6 +47,7 @@ COMMIT = "commit"
 DEADLINE_EXPIRED = "deadline.expired"
 REQUEST_DONE = "request.done"
 REQUEST_FAILED = "request.failed"
+REQUEST_CANCELLED = "request.cancelled"
 SLO_BREACH = "slo.breach"
 INVARIANT_VIOLATION = "invariant.violation"
 

@@ -7,40 +7,43 @@ commit, coalescing and supervision; *where* the CPU-bound composition step
 ``RuntimeConfig(backend="thread" | "process")``:
 
 * :class:`ThreadBackend` — composition runs inline on the runtime's worker
-  threads.  Cheapest dispatch, full feature support (chaos, flight
-  recorder, forensics, cross-layer estimation), but pure-Python selection
-  serialises on the GIL.
+  threads.  Cheapest dispatch, but pure-Python selection serialises on
+  the GIL.
 * :class:`ProcessBackend` — composition is shipped to a pool of spawned
   worker processes, one pipe channel each.  Workers deserialise a pickled
   :class:`~repro.services.registry.RegistrySnapshot` once per registry
   generation and recompose on it; returned plans are rehydrated onto the
   parent's own service objects, and the runtime's ordered commit (by
-  admission ticket) keeps pooled==serial byte-identity.  Features that
-  need parent-side shared mutable state — chaos injection, the flight
-  recorder/forensics, cross-layer estimation — raise
-  :class:`~repro.errors.UnsupportedBackendFeatureError` up front rather
-  than silently degrading.
+  admission ticket) keeps pooled==serial byte-identity.  Cross-layer
+  estimation reads live device/link state a worker process cannot see,
+  so this backend refuses it with
+  :class:`~repro.errors.UnsupportedBackendFeatureError` at construction.
 
-Both backends are driven *by the runtime's worker threads*: a thread
-either composes inline (thread backend) or blocks on its worker process's
-reply (process backend — the pipe wait releases the GIL, which is where
-the parallelism comes from).  A worker process that dies mid-compose
-surfaces as :class:`~repro.errors.WorkerProcessCrash`; the backend
-respawns the process and the runtime requeues the request under its
-original admission ticket, exactly like an injected transient fault.
+Both compose through one
+:class:`~repro.runtime.process_worker.WorkerState` per worker, so they
+differ only in where QASSA runs.  Both are driven *by the runtime's worker
+threads*: a thread either composes inline (thread backend) or blocks on
+its worker process's reply (process backend — the pipe wait releases the
+GIL, which is where the parallelism comes from).  A worker process that
+dies mid-compose surfaces as :class:`~repro.errors.WorkerProcessCrash`;
+the backend respawns the process and the runtime requeues the request
+under its original admission ticket, exactly like an injected transient
+fault.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import queue
+import threading
 from typing import TYPE_CHECKING, List, Protocol, runtime_checkable
 
-from repro.errors import WorkerProcessCrash
+from repro.errors import UnsupportedBackendFeatureError, WorkerProcessCrash
 from repro.composition.selection import CompositionPlan, SelectedActivity
 from repro.runtime.process_worker import (
     ComposeRequest,
     WorkerContext,
+    WorkerState,
     worker_main,
 )
 
@@ -81,13 +84,27 @@ class ExecutionBackend(Protocol):
         ...
 
 
+def _worker_context(middleware) -> WorkerContext:
+    """The one composition context both backends build their workers from."""
+    return WorkerContext(
+        properties=dict(middleware.properties),
+        aggregation=middleware.config.aggregation,
+        qassa=middleware.config.qassa,
+        discovery_minimum_degree=middleware.config.discovery_minimum_degree,
+        ontology=middleware.discovery.ontology,
+    )
+
+
 class ThreadBackend:
-    """Inline execution on the runtime's own worker threads."""
+    """Inline execution on the runtime's own worker threads, each owning
+    one :class:`WorkerState` built on the runtime's shared batcher."""
 
     name = "thread"
 
     def __init__(self, runtime: "MiddlewareRuntime") -> None:
         self.runtime = runtime
+        self._context = _worker_context(runtime.middleware)
+        self._local = threading.local()
 
     def start(self) -> None:
         pass  # worker threads are the executors; the runtime spawns them
@@ -96,7 +113,16 @@ class ThreadBackend:
         return 0
 
     def compose(self, spec, snapshot) -> List[CompositionPlan]:
-        return self.runtime._compose_against(spec, snapshot)
+        state = getattr(self._local, "state", None)
+        if state is None:
+            runtime = self.runtime
+            state = self._local.state = WorkerState(
+                self._context,
+                batcher=runtime.batcher,
+                observability=runtime.observability,
+                estimator=runtime.middleware.estimator,
+            )
+        return state.compose(spec, snapshot)
 
 
 class _WorkerChannel:
@@ -124,7 +150,15 @@ class ProcessBackend:
     name = "process"
 
     def __init__(self, runtime: "MiddlewareRuntime") -> None:
+        if runtime.middleware.estimator is not None:
+            # Explicit and loud, never a silent no-op.
+            raise UnsupportedBackendFeatureError(
+                "cross-layer estimation is not supported on the process "
+                "backend: estimated QoS depends on live device/link state "
+                "worker processes cannot observe; use backend='thread'"
+            )
         self.runtime = runtime
+        self._context = _worker_context(runtime.middleware)
         self._ctx = multiprocessing.get_context("spawn")
         self._channels: List[_WorkerChannel] = []
         self._pool: "queue.Queue[_WorkerChannel]" = queue.Queue()
@@ -213,7 +247,7 @@ class ProcessBackend:
         process.start()
         child_conn.close()  # the child holds its own copy
         channel = _WorkerChannel(process, parent_conn)
-        channel.conn.send(("context", self._context()))
+        channel.conn.send(("context", self._context))
         self._channels.append(channel)
         return channel
 
@@ -231,19 +265,6 @@ class ProcessBackend:
         ).inc()
         if not self._stopped:
             self._pool.put(self._spawn())
-
-    def _context(self) -> WorkerContext:
-        middleware = self.runtime.middleware
-        return WorkerContext(
-            properties=dict(middleware.properties),
-            aggregation=middleware.config.aggregation,
-            qassa=middleware.config.qassa,
-            discovery_minimum_degree=(
-                middleware.config.discovery_minimum_degree
-            ),
-            ontology=middleware.discovery.ontology,
-            incremental_selection=middleware.config.incremental_selection,
-        )
 
     def _rehydrate(
         self, plan: CompositionPlan, spec, snapshot
@@ -263,7 +284,9 @@ class ProcessBackend:
             for service in sel.services:
                 local = snapshot.get(service.service_id)
                 services.append(local if local is not None else service)
-            selections[name] = SelectedActivity(name, services)
+            selections[name] = SelectedActivity(
+                name, services, normalizer=sel.normalizer
+            )
         return CompositionPlan(
             task=request.task,
             request=request,

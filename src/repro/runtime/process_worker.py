@@ -6,10 +6,11 @@ A worker process is a tiny request-reply server over one
 composition needs), ships a pickled
 :class:`~repro.services.registry.RegistrySnapshot` once per registry
 generation, and then sends one ``("compose", ComposeRequest)`` message per
-request.  The child recomposes exactly the way a parent-side worker thread
-would — batched discovery against the snapshot, a private QASSA selector —
-and returns the finished :class:`~repro.composition.selection.CompositionPlan`
-list, which the parent rehydrates onto its own service objects (see
+request.  The child composes with the same :class:`WorkerState` a
+thread-backend worker uses — batched discovery against the snapshot, a
+private QASSA selector — and returns the finished
+:class:`~repro.composition.selection.CompositionPlan` list, which the
+parent rehydrates onto its own service objects (see
 :meth:`repro.runtime.backends.ProcessBackend._rehydrate`).
 
 Determinism across the pickle boundary is load-bearing: discovery iterates
@@ -44,6 +45,7 @@ from repro.composition.aggregation import AggregationApproach
 from repro.composition.request import UserRequest
 from repro.composition.selection import CandidateSets, CompositionPlan
 from repro.composition.selection_cache import SelectionCache
+from repro.observability import core as observability_core
 from repro.qos.properties import QoSProperty
 from repro.runtime.batching import DiscoveryBatcher
 from repro.semantics.matching import MatchCache, MatchDegree
@@ -52,14 +54,17 @@ from repro.semantics.ontology import Ontology
 
 @dataclass(frozen=True)
 class WorkerContext:
-    """Everything a worker process needs to compose, beyond the snapshot."""
+    """Everything a worker needs to compose, beyond the snapshot.
+
+    Picklable, so the same context that builds a thread-backend worker's
+    :class:`WorkerState` primes a worker process.
+    """
 
     properties: Dict[str, QoSProperty]
     aggregation: AggregationApproach
     qassa: QassaConfig
     discovery_minimum_degree: MatchDegree
     ontology: Optional[Ontology]
-    incremental_selection: bool
 
 
 @dataclass(frozen=True)
@@ -71,53 +76,80 @@ class ComposeRequest:
     best_effort: bool
 
 
-class _WorkerState:
-    """Per-process composition machinery, rebuilt from a WorkerContext."""
+class WorkerState:
+    """One worker's composition machinery: batched discovery plus a
+    private QASSA — the runtime's only discovery + selection path.
 
-    def __init__(self, context: WorkerContext) -> None:
+    A worker process builds one from its :class:`WorkerContext` alone (own
+    batcher, no observability: its ``compose`` span is a no-op); the
+    thread backend adds the runtime's shared batcher, observability and
+    cross-layer estimator.
+    """
+
+    def __init__(
+        self,
+        context: WorkerContext,
+        *,
+        batcher: Optional[DiscoveryBatcher] = None,
+        observability=None,
+        estimator=None,
+    ) -> None:
         self.context = context
-        self.snapshot = None
-        self.batcher = DiscoveryBatcher(
-            ontology=context.ontology,
-            match_cache=(
-                MatchCache(context.ontology)
-                if context.ontology is not None else None
-            ),
-        )
+        self.obs = observability_core.resolve(observability)
+        if batcher is None:
+            batcher = DiscoveryBatcher(
+                ontology=context.ontology,
+                match_cache=(
+                    MatchCache(context.ontology)
+                    if context.ontology is not None else None
+                ),
+            )
+        self.batcher = batcher
+        self.estimator = estimator
         self.selector = QASSA(
             context.properties,
             context.aggregation,
             context.qassa,
-            cache=(
-                SelectionCache() if context.incremental_selection else None
-            ),
+            observability=self.obs,
+            cache=SelectionCache(),
         )
 
-    def compose(self, order: ComposeRequest) -> List[CompositionPlan]:
-        """Mirror of ``MiddlewareRuntime._compose_against``, sans spans."""
-        if self.snapshot is None:
-            raise RuntimeError("compose before any snapshot was shipped")
+    def compose(self, order, snapshot) -> List[CompositionPlan]:
+        """Discover every activity's pool on ``snapshot``, then select;
+        ``order`` is a :class:`ComposeRequest` or a ``RunSpec``."""
         request = order.request
         pools: Dict[str, list] = {}
-        for activity in request.task.activities:
-            services = self.batcher.candidates(
-                self.snapshot,
-                activity.capability,
-                self.context.discovery_minimum_degree,
-            )
-            if not services:
-                raise NoCandidateError(activity.name)
-            pools[activity.name] = services
-        candidates = CandidateSets(request.task, pools)
-        if order.ranked:
-            return self.selector.select_ranked(
-                request, candidates, k=order.ranked
-            )
-        return [
-            self.selector.select(
-                request, candidates, best_effort=order.best_effort
-            )
-        ]
+        with self.obs.span(
+            "compose", task=request.task.name,
+            activities=request.task.size(), generation=snapshot.generation,
+        ) as span:
+            for activity in request.task.activities:
+                services = self.batcher.candidates(
+                    snapshot,
+                    activity.capability,
+                    self.context.discovery_minimum_degree,
+                )
+                if self.estimator is not None:
+                    services = [
+                        self.estimator.estimated_service(s)
+                        for s in services
+                    ]
+                if not services:
+                    raise NoCandidateError(activity.name)
+                pools[activity.name] = services
+            candidates = CandidateSets(request.task, pools)
+            if order.ranked:
+                plans = self.selector.select_ranked(
+                    request, candidates, k=order.ranked
+                )
+            else:
+                plans = [
+                    self.selector.select(
+                        request, candidates, best_effort=order.best_effort
+                    )
+                ]
+            span.set(utility=plans[0].utility, feasible=plans[0].feasible)
+        return plans
 
 
 def _error_reply(exc: Exception) -> tuple:
@@ -136,7 +168,8 @@ def _error_reply(exc: Exception) -> tuple:
 
 def worker_main(conn) -> None:
     """Entry point of a worker process (module-level for spawn pickling)."""
-    state: Optional[_WorkerState] = None
+    state: Optional[WorkerState] = None
+    snapshot = None
     try:
         while True:
             try:
@@ -145,14 +178,14 @@ def worker_main(conn) -> None:
                 return  # parent went away; nothing left to serve
             kind = message[0]
             if kind == "context":
-                state = _WorkerState(message[1])
-            elif kind == "snapshot" and state is not None:
-                state.snapshot = message[1]
+                state = WorkerState(message[1])
+            elif kind == "snapshot":
+                snapshot = message[1]
             elif kind == "compose":
                 try:
-                    if state is None:
-                        raise RuntimeError("compose before context")
-                    plans = state.compose(message[1])
+                    if state is None or snapshot is None:
+                        raise RuntimeError("compose before context/snapshot")
+                    plans = state.compose(message[1], snapshot)
                     reply = ("ok", plans)
                     pickle.dumps(reply)  # probe before touching the pipe
                 except Exception as exc:  # noqa: BLE001 - shipped to parent

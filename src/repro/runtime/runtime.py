@@ -26,16 +26,22 @@ shared environment:
   serialises selection.
 * **Pluggable execution backends** — the CPU-bound composition step runs
   on an :class:`~repro.runtime.backends.ExecutionBackend`:
-  ``backend="thread"`` composes inline on the worker threads (full
-  feature support), ``backend="process"`` dispatches to a pool of worker
-  processes recomposing on pickled registry snapshots — genuinely
-  parallel selection beyond the GIL, still byte-identical to serial.
+  ``backend="thread"`` composes inline on the worker threads,
+  ``backend="process"`` dispatches to a pool of worker processes
+  recomposing on pickled registry snapshots — genuinely parallel
+  selection beyond the GIL, still byte-identical to serial.  Both run the
+  same composition code and everything else here on the parent's worker
+  threads, so chaos, the flight recorder and forensics work on both.
 * **Deterministic ordered commit** — composition is concurrent, but
-  executions commit strictly in admission order under the environment's
-  shared clock/RNG, so a pooled run produces byte-identical plans *and*
-  execution reports to the same workload run serially.  Selection itself
-  is deterministic per request (each worker owns a private selector), so
-  concurrency never changes what gets composed.
+  executions commit strictly in admission order
+  (:class:`~repro.runtime.commit.CommitSequencer`) under the
+  environment's shared clock/RNG, so a pooled run produces byte-identical
+  plans *and* execution reports to the same workload run serially.
+  Selection itself is deterministic per request (each worker owns a
+  private selector), so concurrency never changes what gets composed.
+
+Every request ends through one terminal transition, which also leaves
+exactly one terminal flight-recorder event per request.
 
 See ``docs/RUNTIME.md`` for the architecture and tuning guide.
 """
@@ -46,22 +52,18 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro.errors import (
     AdmissionRejectedError,
     DeadlineExceededError,
     MiddlewareRuntimeError,
-    NoCandidateError,
     RuntimeShutdownError,
-    UnsupportedBackendFeatureError,
     WorkerCrashError,
     WorkerProcessCrash,
 )
-from repro.composition.qassa import QASSA
 from repro.composition.request import UserRequest
-from repro.composition.selection import CandidateSets, CompositionPlan
-from repro.composition.selection_cache import SelectionCache
+from repro.composition.selection import CompositionPlan
 from repro.observability import events as rt_events
 from repro.observability.context import TraceContext
 from repro.observability.events import NULL_RECORDER, FlightRecorder
@@ -71,6 +73,7 @@ from repro.runtime.admission import build_admission_controller
 from repro.runtime.backends import BACKEND_CHOICES, build_backend
 from repro.runtime.batching import DiscoveryBatcher, RequestCoalescer
 from repro.runtime.chaos import ChaosPolicy, InjectedSnapshotFailure
+from repro.runtime.commit import CommitSequencer
 from repro.runtime.handle import RequestStatus, RunHandle, RunSpec
 from repro.runtime.snapshot import SnapshotManager
 from repro.runtime.supervisor import RetryBudget, WorkerSupervisor
@@ -87,18 +90,16 @@ class RuntimeConfig:
 
     ``backend`` selects the :class:`~repro.runtime.backends.ExecutionBackend`
     that runs the CPU-bound composition step: ``"thread"`` (inline on the
-    worker threads — full feature support) or ``"process"`` (a pool of
-    worker processes recomposing on pickled registry snapshots — parallel
-    selection beyond the GIL; chaos injection, the flight recorder,
-    forensics and cross-layer estimation are unsupported there and raise
-    :class:`~repro.errors.UnsupportedBackendFeatureError` at construction).
-    An unknown backend name raises :class:`ValueError` listing the valid
-    choices.  ``workers`` bounds the composition pool for either backend;
-    ``queue_depth`` bounds the admission queue (beyond it, submissions are
-    rejected — backpressure); ``deadline`` is the per-request completion
-    budget on the wall clock (the default policy has no timeout).
-    ``drain_on_close`` controls whether :meth:`MiddlewareRuntime.close`
-    finishes the queued work or cancels it.
+    worker threads) or ``"process"`` (a pool of worker processes
+    recomposing on pickled registry snapshots — parallel selection beyond
+    the GIL; cross-layer estimation is unsupported there and raises
+    :class:`~repro.errors.UnsupportedBackendFeatureError` at runtime
+    construction).  An unknown backend name raises :class:`ValueError`
+    listing the valid choices.  ``workers`` bounds the composition pool
+    for either backend; ``queue_depth`` bounds the admission queue (beyond
+    it, submissions are rejected — backpressure); ``deadline`` is the
+    per-request completion budget on the wall clock (the default policy
+    has no timeout).
 
     ``admission`` selects the backpressure policy: ``"static"`` (the
     default — the fixed ``queue_depth`` bound, byte-identical to the
@@ -114,7 +115,6 @@ class RuntimeConfig:
     workers: int = 4
     queue_depth: int = 64
     deadline: TimeoutPolicy = field(default_factory=TimeoutPolicy)
-    drain_on_close: bool = True
     admission: str = "static"
     admission_target_delay_ms: float = 250.0
     admission_window_seconds: float = 5.0
@@ -137,11 +137,10 @@ class RuntimeConfig:
     #: chaos, crash, requeue, commit, expiry).  ``forensics_dir`` makes
     #: anomaly triggers (worker crash, invariant violation, SLO breach)
     #: dump JSON bundles there — and, when set without an explicit
-    #: recorder, implies a default-capacity one.
-    #: ``forensics_last_events`` is the ring slice each bundle captures.
+    #: recorder, implies a default-capacity one.  Both work on either
+    #: backend: every event is recorded on the parent's worker threads.
     flight_recorder: Optional[FlightRecorder] = None
     forensics_dir: Optional[str] = None
-    forensics_last_events: int = 256
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_CHOICES:
@@ -149,21 +148,6 @@ class RuntimeConfig:
                 f"unknown execution backend {self.backend!r}; "
                 f"valid choices: {', '.join(BACKEND_CHOICES)}"
             )
-        if self.backend == "process":
-            unsupported = [
-                name for name, value in (
-                    ("flight_recorder", self.flight_recorder),
-                    ("forensics_dir", self.forensics_dir),
-                )
-                if value is not None
-            ]
-            if unsupported:
-                raise UnsupportedBackendFeatureError(
-                    f"the process backend cannot honour "
-                    f"{', '.join(unsupported)}: worker processes cannot "
-                    f"share the parent's event ring; use backend='thread' "
-                    f"or drop the feature"
-                )
         if self.workers < 1:
             raise MiddlewareRuntimeError("runtime needs at least one worker")
         if self.queue_depth < 1:
@@ -204,10 +188,23 @@ class RuntimeConfig:
             raise MiddlewareRuntimeError(
                 "close_join_seconds must be positive"
             )
-        if self.forensics_last_events < 1:
-            raise MiddlewareRuntimeError(
-                "forensics_last_events must be >= 1"
-            )
+
+
+#: What each terminal status leaves behind: the counter it bumps and the
+#: flight-recorder event kind it records.
+_TERMINAL = {
+    RequestStatus.DONE: ("runtime_completed_total", rt_events.REQUEST_DONE),
+    RequestStatus.FAILED: ("runtime_failed_total", rt_events.REQUEST_FAILED),
+    RequestStatus.EXPIRED: (
+        "runtime_expired_total", rt_events.DEADLINE_EXPIRED
+    ),
+    RequestStatus.REJECTED: (
+        "runtime_rejected_total", rt_events.ADMISSION_REJECT
+    ),
+    RequestStatus.CANCELLED: (
+        "runtime_cancelled_total", rt_events.REQUEST_CANCELLED
+    ),
+}
 
 
 class MiddlewareRuntime:
@@ -232,23 +229,6 @@ class MiddlewareRuntime:
         self.config = config if config is not None else RuntimeConfig()
         self.autostart = autostart
         self.chaos = chaos
-        if self.config.backend == "process":
-            # Explicit and loud, never a silent no-op: these features need
-            # parent-side shared mutable state a worker process can't see.
-            if chaos is not None:
-                raise UnsupportedBackendFeatureError(
-                    "chaos injection is not supported on the process "
-                    "backend: injection points live in the parent while "
-                    "composition runs in worker processes; use "
-                    "backend='thread'"
-                )
-            if middleware.estimator is not None:
-                raise UnsupportedBackendFeatureError(
-                    "cross-layer estimation is not supported on the "
-                    "process backend: estimated QoS depends on live "
-                    "device/link state worker processes cannot observe; "
-                    "use backend='thread'"
-                )
         self.observability = middleware.observability
         self.snapshots = SnapshotManager(middleware.environment.registry)
         self.batcher = DiscoveryBatcher(
@@ -276,7 +256,6 @@ class MiddlewareRuntime:
                 self.recorder,
                 observability=self.observability,
                 directory=self.config.forensics_dir,
-                last_events=self.config.forensics_last_events,
                 chaos_report=chaos.report if chaos is not None else None,
             )
             if chaos is not None:
@@ -303,23 +282,10 @@ class MiddlewareRuntime:
         self._closed = False
         self._in_flight = 0
         self._idle = threading.Condition(self._lock)
-
-        # Ordered commit: executing submissions take a ticket at admission
-        # and executions happen strictly in ticket order.  Keys are the
-        # handle's monotonic ``seq`` — never ``id()``, which the allocator
-        # reuses after GC and which would cross-wire tickets.
-        self._commit_cond = threading.Condition()
-        self._next_ticket = 0
-        self._next_commit = 0
-        self._abandoned: set = set()
-        self._tickets: Dict[int, int] = {}  # handle.seq -> ticket
-        self._commit_log: List[tuple] = []  # (ticket, handle.seq)
+        # Executing submissions take a ticket at admission and execute
+        # strictly in ticket order.
+        self.commits = CommitSequencer()
         self._requeues = 0
-
-        # One private selector per worker thread: QASSA is deterministic,
-        # so private selectors (and private selection caches) yield the
-        # same plans as the serial selector without any cross-thread races.
-        self._thread_state = threading.local()
 
         # Where composition executes: the worker threads themselves
         # (ThreadBackend) or a pool of worker processes the threads
@@ -344,16 +310,17 @@ class MiddlewareRuntime:
             self.supervisor.spawn(index)
         return self
 
-    def close(self, drain: Optional[bool] = None) -> None:
-        """Stop the pool.  ``drain`` overrides ``config.drain_on_close``.
+    def close(self, drain: bool = True) -> None:
+        """Stop the pool: finish the queued work, or cancel it.
 
-        Workers that fail to exit within ``config.close_join_seconds``
-        each are counted on ``runtime_threads_leaked_total``; when
-        draining, leaked workers additionally raise
+        With ``drain=False`` the queued handles end ``CANCELLED`` with
+        :class:`~repro.errors.RuntimeShutdownError`.  Workers that fail to
+        exit within ``config.close_join_seconds`` each are counted on
+        ``runtime_threads_leaked_total``; when draining, leaked workers
+        additionally raise
         :class:`~repro.errors.MiddlewareRuntimeError` — a drained close
         promises all work finished, which a wedged worker belies.
         """
-        drain = self.config.drain_on_close if drain is None else drain
         cancelled: List[RunHandle] = []
         with self._lock:
             if self._closed:
@@ -368,14 +335,12 @@ class MiddlewareRuntime:
             threads = [t for t in self._threads if t is not None]
             self._work.notify_all()
         for handle in cancelled:
-            self._abandon_ticket(handle)
-            handle.finished_sim = self._clock.now()
-            handle._fail(
-                RuntimeShutdownError("runtime shut down before the request "
-                                     "was processed"),
-                RequestStatus.CANCELLED,
+            self._finish(
+                handle, RequestStatus.CANCELLED,
+                error=RuntimeShutdownError(
+                    "runtime shut down before the request was processed"
+                ),
             )
-            self._counter("runtime_cancelled_total").inc()
             self._crash_bundle(handle)
         for thread in threads:
             thread.join(timeout=self.config.close_join_seconds)
@@ -451,36 +416,22 @@ class MiddlewareRuntime:
             if self._closed:
                 raise RuntimeShutdownError("runtime is closed")
             if not self.admission.admit(len(self._queue)):
-                handle.finished_sim = handle.submitted_sim
-                handle._fail(
-                    AdmissionRejectedError(
-                        f"admission queue full "
-                        f"({self.admission.effective_depth()} pending)"
+                depth = self.admission.effective_depth()
+                self._finish(
+                    handle, RequestStatus.REJECTED,
+                    error=AdmissionRejectedError(
+                        f"admission queue full ({depth} pending)"
                     ),
-                    RequestStatus.REJECTED,
+                    depth=depth,
                 )
-                self._counter("runtime_rejected_total").inc()
-                if self.recorder.enabled:
-                    self.recorder.record(
-                        rt_events.ADMISSION_REJECT,
-                        trace_id=handle.trace_id,
-                        seq=handle.seq,
-                        depth=self.admission.effective_depth(),
-                    )
                 return handle
             if spec.execute:
-                with self._commit_cond:
-                    self._tickets[handle.seq] = self._next_ticket
-                    self._next_ticket += 1
+                self.commits.issue(handle.seq)
             self._queue.append(handle)
             self._gauge("runtime_queue_depth").set(len(self._queue))
-            if self.recorder.enabled:
-                self.recorder.record(
-                    rt_events.ADMISSION_ACCEPT,
-                    trace_id=handle.trace_id,
-                    seq=handle.seq,
-                    queued=len(self._queue),
-                )
+            self._event(
+                rt_events.ADMISSION_ACCEPT, handle, queued=len(self._queue)
+            )
             self._work.notify()
         self.retry_budget.on_admit()
         if self.autostart and not self._started:
@@ -542,8 +493,7 @@ class MiddlewareRuntime:
         with unique seqs mean no commit was duplicated or reordered, even
         across crash-requeue cycles.
         """
-        with self._commit_cond:
-            return tuple(self._commit_log)
+        return self.commits.log()
 
     @property
     def requeued(self) -> int:
@@ -554,8 +504,7 @@ class MiddlewareRuntime:
     @property
     def open_tickets(self) -> int:
         """Commit tickets not yet released (in-flight executing requests)."""
-        with self._commit_cond:
-            return len(self._tickets)
+        return self.commits.open_tickets()
 
     # ------------------------------------------------------------------
     # worker machinery
@@ -571,14 +520,10 @@ class MiddlewareRuntime:
                 self._gauge("runtime_queue_depth").set(len(self._queue))
                 self._in_flight += 1
                 self._gauge("runtime_in_flight").set(self._in_flight)
-            if self.recorder.enabled:
-                self.recorder.record(
-                    rt_events.WORKER_PICKUP,
-                    trace_id=handle.trace_id,
-                    seq=handle.seq,
-                    worker=worker,
-                    attempt=handle.requeues,
-                )
+            self._event(
+                rt_events.WORKER_PICKUP, handle,
+                worker=worker, attempt=handle.requeues,
+            )
             try:
                 try:
                     if self.chaos is not None:
@@ -607,19 +552,13 @@ class MiddlewareRuntime:
                     # never observe the orphan as finished work, then let
                     # the supervisor see the death.
                     handle.crashes += 1
-                    if self.recorder.enabled:
-                        self.recorder.record(
-                            rt_events.WORKER_CRASH,
-                            trace_id=handle.trace_id,
-                            seq=handle.seq,
-                            worker=worker,
-                            error=type(exc).__name__,
-                        )
+                    self._event(
+                        rt_events.WORKER_CRASH, handle,
+                        worker=worker, error=type(exc).__name__,
+                    )
                     self._requeue_or_fail(handle, exc)
                     raise
             finally:
-                if handle.done() and handle.finished_sim is None:
-                    handle.finished_sim = self._clock.now()
                 # Deferred crash bundle: by now the attempt's spans have
                 # closed (the ``with`` blocks unwound inside _process), so
                 # the bundle captures the victim's complete span tree.
@@ -647,13 +586,9 @@ class MiddlewareRuntime:
             return
         with self._lock:
             closed = self._closed
-        with self._commit_cond:
-            ticket_live = (
-                not handle.spec.execute or handle.seq in self._tickets
-            )
         retryable = (
             not closed
-            and ticket_live
+            and (not handle.spec.execute or self.commits.holds(handle.seq))
             and handle.requeues < self.config.max_requeues
         )
         if retryable and self.retry_budget.try_acquire():
@@ -667,40 +602,24 @@ class MiddlewareRuntime:
                 self._work.notify()
                 self._requeues += 1
             self._counter("runtime_requeued_total").inc()
-            if self.recorder.enabled:
-                self.recorder.record(
-                    rt_events.REQUEST_REQUEUED,
-                    trace_id=handle.trace_id,
-                    seq=handle.seq,
-                    attempt=handle.requeues,
-                    error=type(error).__name__,
-                )
+            self._event(
+                rt_events.REQUEST_REQUEUED, handle,
+                attempt=handle.requeues, error=type(error).__name__,
+            )
             return
-        if retryable and self.recorder.enabled:
+        if retryable:
             # The retryable conditions held, so the budget was consulted
             # and said no — the metastability guard refusing a requeue.
-            self.recorder.record(
-                rt_events.RETRY_DENIED,
-                trace_id=handle.trace_id,
-                seq=handle.seq,
+            self._event(
+                rt_events.RETRY_DENIED, handle,
                 tokens=self.retry_budget.tokens,
             )
-        self._abandon_ticket(handle)
         if not isinstance(error, Exception):
             error = WorkerCrashError(
                 f"worker crashed while processing this request and it "
                 f"could not be requeued: {error}"
             )
-        handle.finished_sim = self._clock.now()
-        handle._fail(error, RequestStatus.FAILED)
-        self._counter("runtime_failed_total").inc()
-        if self.recorder.enabled:
-            self.recorder.record(
-                rt_events.REQUEST_FAILED,
-                trace_id=handle.trace_id,
-                seq=handle.seq,
-                error=type(error).__name__,
-            )
+        self._finish(handle, RequestStatus.FAILED, error=error)
 
     def _process(self, handle: RunHandle) -> None:
         """Adopt the request's trace context, then run the pipeline.
@@ -720,15 +639,11 @@ class MiddlewareRuntime:
     def _process_adopted(self, handle: RunHandle) -> None:
         spec = handle.spec
         handle._mark_running()
-        if self._expired(handle):
-            self._expire(handle, "queued")
+        if self._expire_if_due(handle, "queued"):
             return
-        task_name = (
-            spec.request.task.name if spec.request is not None
-            else spec.plan.task.name
-        )
+        task = spec.plan.task if spec.request is None else spec.request.task
         with self.observability.span(
-            "runtime.request", task=task_name, execute=spec.execute,
+            "runtime.request", task=task.name, execute=spec.execute,
             attempt=handle.requeues,
         ) as span:
             span.set(queue_ms=round((handle.queue_seconds or 0.0) * 1e3, 3))
@@ -744,28 +659,16 @@ class MiddlewareRuntime:
                 # this root span instead of opening a second root.
                 handle.trace_context = context.child(span_id)
             try:
-                if spec.plan is not None:
-                    plans = [spec.plan]
-                else:
-                    plans = self._compose(spec)
+                plans = (
+                    [spec.plan] if spec.plan is not None
+                    else self._compose(spec)
+                )
                 if not spec.execute:
-                    handle._complete(plans=plans)
-                    self._counter("runtime_completed_total").inc()
-                    span.set(status="done")
-                    self._record_done(handle)
-                    return
-                if self._expired(handle):
-                    self._expire(handle, "pre-commit")
-                    span.set(status="expired")
-                    return
-                result = self._commit(handle, plans[0])
-                if result is None:  # expired while awaiting its turn
-                    span.set(status="expired")
-                    return
-                handle._complete(result)
-                self._counter("runtime_completed_total").inc()
-                span.set(status="done")
-                self._record_done(handle)
+                    self._finish(handle, RequestStatus.DONE, plans=plans)
+                elif not self._expire_if_due(handle, "pre-commit"):
+                    result = self._commit(handle, plans[0])
+                    if result is not None:  # None: expired at its turn
+                        self._finish(handle, RequestStatus.DONE, result=result)
             except (InjectedSnapshotFailure, WorkerProcessCrash):
                 # Transient fault (injected chaos, or a worker process
                 # crash) — keep the ticket; the worker loop requeues the
@@ -773,17 +676,8 @@ class MiddlewareRuntime:
                 span.set(status="requeued")
                 raise
             except Exception as exc:  # noqa: BLE001 - failure lands on handle
-                self._abandon_ticket(handle)
-                handle._fail(exc, RequestStatus.FAILED)
-                self._counter("runtime_failed_total").inc()
-                span.set(status="failed")
-                if self.recorder.enabled:
-                    self.recorder.record(
-                        rt_events.REQUEST_FAILED,
-                        trace_id=handle.trace_id,
-                        seq=handle.seq,
-                        error=type(exc).__name__,
-                    )
+                self._finish(handle, RequestStatus.FAILED, error=exc)
+            span.set(status=handle.status.value)
 
     def _compose(self, spec: RunSpec) -> List[CompositionPlan]:
         """Concurrent composition: snapshot + batched discovery + private
@@ -820,65 +714,24 @@ class MiddlewareRuntime:
             spec.best_effort,
         )
 
-    def _compose_against(
-        self, spec: RunSpec, snapshot
-    ) -> List[CompositionPlan]:
-        middleware = self.middleware
-        request = spec.request
-        pools: Dict[str, List] = {}
-        with self.observability.span(
-            "compose", task=request.task.name,
-            activities=request.task.size(), generation=snapshot.generation,
-        ) as span:
-            for activity in request.task.activities:
-                services = self.batcher.candidates(
-                    snapshot,
-                    activity.capability,
-                    middleware.config.discovery_minimum_degree,
-                )
-                if middleware.estimator is not None:
-                    services = [
-                        middleware.estimator.estimated_service(s)
-                        for s in services
-                    ]
-                if not services:
-                    raise NoCandidateError(activity.name)
-                pools[activity.name] = services
-            candidates = CandidateSets(request.task, pools)
-            selector = self._selector()
-            if spec.ranked:
-                plans = selector.select_ranked(
-                    request, candidates, k=spec.ranked
-                )
-            else:
-                plans = [
-                    selector.select(
-                        request, candidates, best_effort=spec.best_effort
-                    )
-                ]
-            span.set(utility=plans[0].utility, feasible=plans[0].feasible)
-        return plans
-
     def _commit(
         self, handle: RunHandle, plan: CompositionPlan
     ) -> Optional[RunResult]:
-        """Execute in strict admission order against the live environment."""
+        """Execute in strict admission order against the live environment.
+
+        Returns ``None`` when the deadline lapsed while the request awaited
+        its turn (the handle is then already expired).
+        """
         wait_started = time.perf_counter()
-        with self._commit_cond:
-            ticket = self._tickets[handle.seq]
-            while self._next_commit != ticket:
-                self._commit_cond.wait()
-            # Our turn: consume the ticket and log the commit.  From here
-            # on a crash can no longer requeue this request (re-execution
-            # would duplicate environment side effects).
-            del self._tickets[handle.seq]
-            self._commit_log.append((ticket, handle.seq))
+        # Once the turn is ours the ticket is consumed: a crash can no
+        # longer requeue this request (re-execution would duplicate
+        # environment side effects).
+        ticket = self.commits.wait_turn(handle.seq)
         commit_wait_ms = (time.perf_counter() - wait_started) * 1e3
         try:
             if self.chaos is not None:
                 self.chaos.on_commit(ticket)
-            if self._expired(handle):
-                self._expire(handle, "commit")
+            if self._expire_if_due(handle, "commit"):
                 return None
             service_started = self._clock.now()
             with self.observability.span(
@@ -890,71 +743,74 @@ class MiddlewareRuntime:
                     track_sla=handle.spec.track_sla,
                 )
             service_ended = self._clock.now()
-            if self.recorder.enabled:
-                self.recorder.record(
-                    rt_events.COMMIT,
-                    trace_id=handle.trace_id,
-                    seq=handle.seq,
-                    ticket=ticket,
-                    service_seconds=service_ended - service_started,
-                )
+            self._event(
+                rt_events.COMMIT, handle,
+                ticket=ticket, service_seconds=service_ended - service_started,
+            )
             self.admission.on_complete(
                 service_ended - service_started, service_ended
             )
             return result
         finally:
-            with self._commit_cond:
-                self._advance_commit_locked()
+            self.commits.advance()
 
     # ------------------------------------------------------------------
-    def _selector(self) -> QASSA:
-        """This worker thread's private selector (built on first use)."""
-        selector = getattr(self._thread_state, "selector", None)
-        if selector is None:
-            middleware = self.middleware
-            selector = QASSA(
-                middleware.properties,
-                middleware.config.aggregation,
-                middleware.config.qassa,
-                observability=self.observability,
-                cache=(
-                    SelectionCache()
-                    if middleware.config.incremental_selection else None
-                ),
-            )
-            self._thread_state.selector = selector
-        return selector
-
-    def _expired(self, handle: RunHandle) -> bool:
+    def _expire_if_due(self, handle: RunHandle, stage: str) -> bool:
+        """Expire ``handle`` if its deadline lapsed; True when it did."""
         elapsed_ms = (time.perf_counter() - handle.submitted_wall) * 1e3
-        return self.config.deadline.expired(elapsed_ms)
-
-    def _expire(self, handle: RunHandle, stage: str) -> None:
-        self._abandon_ticket(handle)
-        handle._fail(
-            DeadlineExceededError(
+        if not self.config.deadline.expired(elapsed_ms):
+            return False
+        self._finish(
+            handle, RequestStatus.EXPIRED,
+            error=DeadlineExceededError(
                 f"deadline of {self.config.deadline.invoke_timeout_ms:g} ms "
                 f"elapsed ({stage})"
             ),
-            RequestStatus.EXPIRED,
+            stage=stage,
         )
-        self._counter("runtime_expired_total").inc()
-        if self.recorder.enabled:
-            self.recorder.record(
-                rt_events.DEADLINE_EXPIRED,
-                trace_id=handle.trace_id,
-                seq=handle.seq,
-                stage=stage,
-            )
+        return True
 
-    def _record_done(self, handle: RunHandle) -> None:
-        """Stamp a request's successful completion on the event ring."""
+    def _finish(
+        self,
+        handle: RunHandle,
+        status: RequestStatus,
+        *,
+        result: Optional[RunResult] = None,
+        plans: Optional[List[CompositionPlan]] = None,
+        error: Optional[BaseException] = None,
+        **attrs,
+    ) -> None:
+        """The one terminal transition every request ends through.
+
+        Releases the commit ticket (so later tickets never wait on this
+        request), stamps ``finished_sim`` before the handle completes
+        (a rejection keeps ``finished_sim == submitted_sim``), completes
+        or fails the handle, then bumps the status's counter and records
+        the status's event (:data:`_TERMINAL`).  ``attrs`` are the event's
+        attributes; ``request.done`` adds ``requeues`` and
+        ``request.failed`` the error's type name.
+        """
+        self.commits.release(handle.seq)
+        handle.finished_sim = (
+            handle.submitted_sim if status is RequestStatus.REJECTED
+            else self._clock.now()
+        )
+        if status is RequestStatus.DONE:
+            handle._complete(result, plans)
+            attrs["requeues"] = handle.requeues
+        else:
+            handle._fail(error, status)
+            if status is RequestStatus.FAILED:
+                attrs["error"] = type(error).__name__
+        counter, kind = _TERMINAL[status]
+        self._counter(counter).inc()
+        self._event(kind, handle, **attrs)
+
+    def _event(self, kind: str, handle: RunHandle, **attrs) -> None:
+        """Stamp one lifecycle event of ``handle`` on the flight recorder."""
         if self.recorder.enabled:
             self.recorder.record(
-                rt_events.REQUEST_DONE,
-                trace_id=handle.trace_id,
-                seq=handle.seq,
-                requeues=handle.requeues,
+                kind, trace_id=handle.trace_id, seq=handle.seq, **attrs
             )
 
     def _crash_bundle(self, handle: RunHandle) -> None:
@@ -981,24 +837,6 @@ class MiddlewareRuntime:
             requeues=handle.requeues,
             status=handle.status.value,
         )
-
-    def _abandon_ticket(self, handle: RunHandle) -> None:
-        """Release a commit ticket without executing (failure/expiry)."""
-        with self._commit_cond:
-            ticket = self._tickets.pop(handle.seq, None)
-            if ticket is None:
-                return
-            if self._next_commit == ticket:
-                self._advance_commit_locked()
-            else:
-                self._abandoned.add(ticket)
-
-    def _advance_commit_locked(self) -> None:
-        self._next_commit += 1
-        while self._next_commit in self._abandoned:
-            self._abandoned.discard(self._next_commit)
-            self._next_commit += 1
-        self._commit_cond.notify_all()
 
     # ------------------------------------------------------------------
     def _counter(self, name: str):

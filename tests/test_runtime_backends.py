@@ -5,14 +5,16 @@ knob (``RuntimeConfig(backend="thread" | "process")``).  These tests run
 the same conformance suite against both backends through one parametrized
 fixture: pooled results stay byte-identical to serial, admission /
 deadline / rejection semantics are backend-independent, ``close()`` leaks
-nothing, and a killed worker process surfaces as a requeue or a
-:class:`~repro.errors.WorkerCrashError` — never a hang.  Config-level
-validation (unknown names, unsupported feature combinations) rides
-along.
+nothing, a killed worker process surfaces as a requeue or a
+:class:`~repro.errors.WorkerCrashError` — never a hang — and chaos, the
+flight recorder and forensic bundles work the same on both.  Config-level
+validation (unknown names, the one unsupported feature combination, the
+features the process backend accepts) rides along.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import time
 
@@ -24,9 +26,12 @@ from repro.errors import (
     WorkerCrashError,
     WorkerProcessCrash,
 )
+from repro.env.scenarios import build_shopping_scenario
 from repro.middleware.config import MiddlewareConfig
 from repro.middleware.qasom import QASOM
-from repro.observability import FlightRecorder
+from repro.observability import FlightRecorder, Observability
+from repro.observability import events as rt_events
+from repro.resilience import FaultSchedule
 from repro.resilience.policies import TimeoutPolicy
 from repro.runtime import (
     BACKEND_CHOICES,
@@ -37,6 +42,7 @@ from repro.runtime import (
     RequestStatus,
     RuntimeConfig,
     ThreadBackend,
+    verify_runtime_invariants,
 )
 
 from tests.test_runtime_determinism import (
@@ -90,6 +96,46 @@ class TestPooledEqualsSerialOnEveryBackend:
         for selection in result.plan.selections.values():
             for service in selection.services:
                 assert registry.get(service.service_id) is service
+
+    def test_fresh_substitutes_match_serial(self, backend):
+        """Substitution ranks fresh candidates from the plan, so a worker's
+        private selector picks the serial run's substitute.  Request 7 of
+        this world exhausts its Pay alternates; serially its fresh
+        substitute is CardPayment-0002."""
+
+        def shopping():
+            scenario = build_shopping_scenario(
+                services_per_activity=6, seed=7
+            )
+            middleware = QASOM.for_environment(
+                scenario.environment, scenario.properties,
+                ontology=scenario.ontology,
+            )
+            return scenario.request, middleware
+
+        def substitutes(result):
+            return [
+                (outcome.substitution.activity_name,
+                 outcome.substitution.replacement.name,
+                 outcome.substitution.used_fresh_candidates)
+                for outcome in result.adaptations
+                if outcome.substitution is not None
+            ]
+
+        request, middleware = shopping()
+        serial = [middleware.submit(request).result() for _ in range(8)]
+        request, middleware = shopping()
+        with MiddlewareRuntime(middleware, _config(backend)) as runtime:
+            handles = [runtime.submit(request) for _ in range(8)]
+            runtime.drain(timeout=120.0)
+        assert ("Pay", "CardPayment-0002", True) in substitutes(serial[7])
+        for index, (expected, handle) in enumerate(zip(serial, handles)):
+            assert substitutes(handle.result()) == substitutes(expected), (
+                f"request {index} ({backend}): substitutes diverged"
+            )
+            assert report_signature(handle.result().report) == (
+                report_signature(expected.report)
+            )
 
 
 class TestAdmissionSemantics:
@@ -169,6 +215,108 @@ class TestLifecycleHygiene:
         runtime.close()
 
 
+#: The event kinds that end a request; each request leaves exactly one.
+TERMINAL_KINDS = (
+    rt_events.REQUEST_DONE, rt_events.REQUEST_FAILED,
+    rt_events.DEADLINE_EXPIRED, rt_events.ADMISSION_REJECT,
+    rt_events.REQUEST_CANCELLED,
+)
+
+
+def _terminal_events(recorder, handle):
+    return [e.kind for e in recorder.for_trace(handle.trace_id)
+            if e.kind in TERMINAL_KINDS]
+
+
+class TestOneTerminalEventPerRequest:
+    def test_done_rejected_and_cancelled_each_leave_one_event(self, backend):
+        recorder = FlightRecorder(capacity=4096)
+        middleware, requests, _ = build_world(seed=83, profiles=2, repeats=2)
+        config = _config(backend, workers=1, queue_depth=8,
+                         flight_recorder=recorder)
+        with MiddlewareRuntime(middleware, config) as runtime:
+            done = [runtime.submit(r) for r in requests]
+            runtime.drain(timeout=120.0)
+        # Never started: 4 requests queue, 8 are rejected, and a
+        # non-draining close cancels the queued 4.
+        middleware, requests, _ = build_world(seed=83, profiles=2, repeats=6)
+        runtime = MiddlewareRuntime(
+            middleware,
+            _config(backend, workers=1, queue_depth=4,
+                    flight_recorder=recorder),
+            autostart=False,
+        )
+        refused = [runtime.submit(r) for r in requests]
+        runtime.close(drain=False)
+
+        expected = {
+            RequestStatus.DONE: rt_events.REQUEST_DONE,
+            RequestStatus.REJECTED: rt_events.ADMISSION_REJECT,
+            RequestStatus.CANCELLED: rt_events.REQUEST_CANCELLED,
+        }
+        statuses = [h.status for h in done + refused]
+        assert statuses.count(RequestStatus.DONE) == len(done)
+        assert statuses.count(RequestStatus.REJECTED) == 8
+        assert statuses.count(RequestStatus.CANCELLED) == 4
+        for handle in done + refused:
+            assert _terminal_events(recorder, handle) == [
+                expected[handle.status]
+            ], f"{backend}: {handle!r}"
+            assert handle.finished_sim is not None
+        for handle in refused:
+            if handle.status is RequestStatus.REJECTED:
+                assert handle.finished_sim == handle.submitted_sim
+        assert runtime.open_tickets == 0
+
+
+class TestChaosOnEveryBackend:
+    def test_crash_bundle_and_invariants(self, backend, tmp_path):
+        """The forensics smoke schedule: one crash, one stall and one
+        snapshot failure.  Every injection point and every recorder write
+        is on the parent's threads, so both backends honour it."""
+        scenario = build_shopping_scenario()
+        observability = Observability(clock=scenario.environment.clock)
+        middleware = QASOM.for_environment(
+            scenario.environment, scenario.properties,
+            ontology=scenario.ontology, repository=scenario.repository,
+            observability=observability,
+        )
+        chaos = ChaosPolicy.from_schedule(
+            FaultSchedule.runtime_chaos(
+                (0.0, 0.2), crashes=1, stalls=1, snapshot_failures=1,
+                stall_seconds=0.01, seed=7,
+            ),
+            scenario.environment.clock, observability=observability,
+        )
+        config = _config(backend, queue_depth=12,
+                         flight_recorder=FlightRecorder(capacity=4096),
+                         forensics_dir=str(tmp_path))
+        with MiddlewareRuntime(middleware, config, chaos=chaos) as runtime:
+            handles = [runtime.submit(scenario.request) for _ in range(12)]
+            runtime.drain(timeout=120.0)
+            report = verify_runtime_invariants(runtime, handles)
+        assert report.ok, report.violations
+        assert len(chaos.fired) == 3
+        assert all(h.status is RequestStatus.DONE for h in handles)
+
+        bundles = []
+        for path in runtime.forensics.paths:
+            with open(path) as stream:
+                bundles.append(json.load(stream))
+        crash_bundles = [b for b in bundles if b["reason"] == "worker_crash"]
+        assert crash_bundles, f"{backend}: no worker_crash bundle"
+        for bundle in crash_bundles:
+            kinds = [e["kind"] for e in bundle["trace_events"]]
+            position = 0
+            for kind in (rt_events.ADMISSION_ACCEPT, rt_events.WORKER_PICKUP,
+                         rt_events.WORKER_CRASH, rt_events.REQUEST_REQUEUED,
+                         rt_events.COMMIT, rt_events.REQUEST_DONE):
+                assert kind in kinds[position:], f"{kind} missing: {kinds}"
+                position = kinds.index(kind, position) + 1
+            roots = [s for s in bundle["spans"] if s.get("parent_id") is None]
+            assert len(roots) == 1, f"{backend}: {len(roots)} roots"
+
+
 class TestWorkerProcessCrashes:
     """Process-backend only: killed children never hang the runtime."""
 
@@ -233,28 +381,47 @@ class TestConfigValidation:
         for choice in BACKEND_CHOICES:
             assert choice in message
 
-    def test_process_backend_rejects_flight_recorder(self):
-        with pytest.raises(UnsupportedBackendFeatureError):
-            RuntimeConfig(backend="process",
-                          flight_recorder=FlightRecorder())
+    def test_process_backend_accepts_flight_recorder(self):
+        recorder = FlightRecorder()
+        middleware, _, _ = build_world(seed=71, profiles=1, repeats=1)
+        runtime = MiddlewareRuntime(
+            middleware,
+            RuntimeConfig(backend="process", flight_recorder=recorder),
+            autostart=False,
+        )
+        assert isinstance(runtime.backend, ProcessBackend)
+        assert runtime.recorder is recorder
+        assert runtime.forensics is not None
+        runtime.close()
 
-    def test_process_backend_rejects_forensics_dir(self, tmp_path):
-        with pytest.raises(UnsupportedBackendFeatureError):
-            RuntimeConfig(backend="process", forensics_dir=str(tmp_path))
+    def test_process_backend_accepts_forensics_dir(self, tmp_path):
+        middleware, _, _ = build_world(seed=71, profiles=1, repeats=1)
+        runtime = MiddlewareRuntime(
+            middleware,
+            RuntimeConfig(backend="process", forensics_dir=str(tmp_path)),
+            autostart=False,
+        )
+        assert isinstance(runtime.backend, ProcessBackend)
+        assert runtime.recorder.enabled
+        assert runtime.forensics.directory == str(tmp_path)
+        runtime.close()
 
-    def test_process_backend_rejects_chaos(self):
+    def test_process_backend_accepts_chaos(self):
         from repro.execution.clock import SimulatedClock
-        from repro.resilience import FaultEvent, FaultKind, FaultSchedule
+        from repro.resilience import FaultEvent, FaultKind
 
         middleware, _, _ = build_world(seed=71, profiles=1, repeats=1)
         chaos = ChaosPolicy(
             FaultSchedule([FaultEvent(5.0, FaultKind.WORKER_CRASH, "any")]),
             SimulatedClock(),
         )
-        with pytest.raises(UnsupportedBackendFeatureError):
-            MiddlewareRuntime(
-                middleware, RuntimeConfig(backend="process"), chaos=chaos,
-            )
+        runtime = MiddlewareRuntime(
+            middleware, RuntimeConfig(backend="process"), chaos=chaos,
+            autostart=False,
+        )
+        assert isinstance(runtime.backend, ProcessBackend)
+        assert runtime.chaos is chaos
+        runtime.close()
 
     def test_process_backend_rejects_cross_layer_estimation(self):
         from tests.test_runtime_determinism import CAPS, PROPS

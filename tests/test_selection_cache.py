@@ -1,4 +1,5 @@
-"""Tests for incremental re-selection: SelectionCache + QASSA/substitution wiring."""
+"""Tests for incremental re-selection (SelectionCache + QASSA) and for
+substitution ranking fresh candidates from the plan, not the cache."""
 
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ def plan_signature(plan):
 class TestCacheCore:
     def test_lookup_miss_then_hit(self):
         cache = SelectionCache()
-        cache.begin(("ctx",), {"cost": 1.0})
+        cache.begin(("ctx",))
         fp = (("svc-1", None),)
         assert cache.lookup("A", fp) is None
         cache.store("A", fp, payload := object())
@@ -73,21 +74,21 @@ class TestCacheCore:
 
     def test_context_change_flushes(self):
         cache = SelectionCache()
-        cache.begin(("ctx-1",), {"cost": 1.0})
+        cache.begin(("ctx-1",))
         fp = (("svc-1", None),)
         cache.store("A", fp, object())
-        cache.begin(("ctx-2",), {"cost": 1.0})
+        cache.begin(("ctx-2",))
         assert len(cache) == 0
         assert cache.invalidations == 1
         assert cache.lookup("A", fp) is None
 
     def test_clear(self):
         cache = SelectionCache()
-        cache.begin(("ctx",), {"cost": 1.0})
+        cache.begin(("ctx",))
         cache.store("A", (("svc-1", None),), object())
         cache.clear()
         assert len(cache) == 0
-        assert cache.rank_candidates("A", []) is None
+        assert cache.lookup("A", (("svc-1", None),)) is None
 
 
 class TestIncrementalQassa:
@@ -168,34 +169,11 @@ class TestIncrementalQassa:
         assert plans[0].statistics.cache_hits == 3
 
 
-class TestRankCandidates:
-    def test_orders_fresh_candidates_by_cached_utility(self):
-        task, generator, pools = build_pools(activities=1, services=8)
-        request = make_request(task)
-        cache = SelectionCache()
-        QASSA(PROPS, cache=cache).select(request, CandidateSets(task, pools))
+class TestSubstitutionRanksFromPlan:
+    """Fresh substitutes are ranked by the plan's own local normaliser and
+    the request's weights — no selection cache involved, so a runtime
+    worker's plan ranks exactly like the serial middleware's."""
 
-        fresh = generator.candidates("task:C0", 6)
-        ranked = cache.rank_candidates("A0", fresh)
-        assert ranked is not None
-        assert sorted(s.service_id for s in ranked) == sorted(
-            s.service_id for s in fresh
-        )
-        normalizer = cache._entries["A0"][1].normalizer
-        weights = {n: 0.25 for n in PROPS}
-        scores = [
-            service_utility(s.advertised_qos, normalizer, weights)
-            for s in ranked
-        ]
-        assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
-
-    def test_unknown_activity_returns_none(self):
-        cache = SelectionCache()
-        cache.begin(("ctx",), {"cost": 1.0})
-        assert cache.rank_candidates("nope", []) is None
-
-
-class TestSubstitutionUsesCache:
     def _fixed(self, name, rt):
         return ServiceDescription(
             name=name,
@@ -208,34 +186,67 @@ class TestSubstitutionUsesCache:
             service_id=name,
         )
 
-    def test_fresh_candidates_tried_best_utility_first(self):
+    def test_ranked_from_the_plan_with_no_cache(self):
         task = Task("p", sequence(leaf("A0", "task:C0")))
         pool = [self._fixed("slow", 900.0), self._fixed("primary", 100.0)]
         request = make_request(task)
-        cache = SelectionCache()
-        selector = QASSA(PROPS, cache=cache, config=QassaConfig(alternates_kept=0))
+        selector = QASSA(PROPS, config=QassaConfig(alternates_kept=0))
         plan = selector.select(request, CandidateSets(task, {"A0": pool}))
-        failing = plan.selections["A0"].primary.service_id
+        selection = plan.selections["A0"]
+        assert selection.normalizer is not None
+        failing = selection.primary.service_id
 
-        fresh = [
-            s for s in (self._fixed("mediocre", 500.0), self._fixed("fast", 50.0))
-            if s.service_id != failing
-        ]
-        with_cache = ServiceSubstitution(PROPS, selection_cache=cache)
-        result = with_cache.substitute(plan, failing, fresh_candidates=fresh)
+        fresh = [self._fixed("mediocre", 500.0), self._fixed("fast", 50.0)]
+        result = ServiceSubstitution(PROPS).substitute(
+            plan, failing, fresh_candidates=fresh
+        )
         # Both fresh candidates keep the (unconstrained) plan feasible; the
         # ranked path must try the higher-utility one first.
         assert result.replacement.service_id == "fast"
         assert result.used_fresh_candidates
+        weights = request.normalised_weights(selection.normalizer.properties)
+        scores = {
+            s.service_id: service_utility(
+                s.advertised_qos, selection.normalizer, weights
+            )
+            for s in fresh
+        }
+        assert scores["fast"] > scores["mediocre"]
 
-    def test_without_cache_order_is_preserved(self):
+    def test_orders_fresh_candidates_by_plan_utility(self):
+        task, generator, pools = build_pools(activities=1, services=8)
+        request = make_request(task)
+        plan = QASSA(PROPS).select(request, CandidateSets(task, pools))
+        selection = plan.selections["A0"]
+
+        fresh = generator.candidates("task:C0", 6)
+        ranked = ServiceSubstitution._ranked(plan, selection, fresh)
+        assert sorted(s.service_id for s in ranked) == sorted(
+            s.service_id for s in fresh
+        )
+        weights = request.normalised_weights(selection.normalizer.properties)
+        scores = [
+            service_utility(s.advertised_qos, selection.normalizer, weights)
+            for s in ranked
+        ]
+        assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+    def test_no_normaliser_keeps_discovery_order(self):
         task = Task("p", sequence(leaf("A0", "task:C0")))
         pool = [self._fixed("primary", 100.0)]
         request = make_request(task)
         plan = QASSA(PROPS, config=QassaConfig(alternates_kept=0)).select(
             request, CandidateSets(task, {"A0": pool})
         )
+        plan.selections["A0"].normalizer = None  # e.g. a baseline's plan
         fresh = [self._fixed("mediocre", 500.0), self._fixed("fast", 50.0)]
         plain = ServiceSubstitution(PROPS)
         result = plain.substitute(plan, "primary", fresh_candidates=fresh)
         assert result.replacement.service_id == "mediocre"
+
+    def test_clone_keeps_the_normalisers(self):
+        task, _, pools = build_pools(activities=2)
+        plan = QASSA(PROPS).select(make_request(task), CandidateSets(task, pools))
+        clone = plan.clone()
+        for name, selection in plan.selections.items():
+            assert clone.selections[name].normalizer is selection.normalizer
