@@ -31,19 +31,26 @@ across worlds while the seeded names do not).
 Assertions: plan and report signatures equal request-by-request, and
 pooled req/s >= 2x serial req/s.
 
-A second axis (``test_backend_axis_process_vs_thread``) measures the
-execution-backend redesign on the *opposite* workload: every request is
-unique, so coalescing eliminates nothing and selection is genuinely
-CPU-bound.  There the thread backend serialises on the GIL while
-``backend="process"`` composes in parallel worker processes — the claim
-is >= 2x thread throughput at 8 workers on a multi-core host, with plans
+A second axis measures the execution-backend redesign on the *opposite*
+workload: every request is unique, so coalescing eliminates nothing and
+selection is genuinely CPU-bound.  There the thread backend serialises on
+the GIL while ``backend="process"`` composes in parallel worker processes.
+Serial, thread and process each run once per module; two tests read the
+runs.  ``test_backend_axis_plans_match_serial`` checks that plans are
 byte-identical to serial on both backends.
+``test_backend_axis_process_vs_thread`` claims >= 2x thread throughput at
+8 workers; it needs 4 usable cores and is skipped, naming the count, on
+fewer.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
+from typing import NamedTuple
+
+import pytest
 
 from repro.api import (
     ClosedLoopDriver,
@@ -300,33 +307,58 @@ def _timed_backend_run(backend_name):
     return wall, plans
 
 
-def test_backend_axis_process_vs_thread(emit):
-    import os
+class BackendAxis(NamedTuple):
+    """The serial reference plans plus one timed run per backend."""
 
-    # --- serial reference: the plans both backends must reproduce ----------
+    serial_plans: list
+    thread_wall: float
+    thread_plans: list
+    process_wall: float
+    process_plans: list
+
+
+@pytest.fixture(scope="module")
+def backend_axis() -> BackendAxis:
+    """Serial, thread and process over the unique workload, run once."""
     middleware_serial, requests_serial, _ = build_unique_world()
     serial_plans = [
         middleware_serial.submit(r, execute=False).plan()
         for r in requests_serial
     ]
-
     thread_wall, thread_plans = _timed_backend_run("thread")
     process_wall, process_plans = _timed_backend_run("process")
+    return BackendAxis(
+        serial_plans, thread_wall, thread_plans, process_wall, process_plans
+    )
 
-    # --- byte-identity on both backends, request by request ----------------
-    for index, serial_plan in enumerate(serial_plans):
+
+def usable_cores() -> int:
+    """Cores this process may run on.
+
+    ``os.cpu_count()`` reports the host's cores even when the process is
+    restricted to fewer (CPU affinity, container cpusets).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def test_backend_axis_plans_match_serial(backend_axis):
+    for index, serial_plan in enumerate(backend_axis.serial_plans):
         assert plan_signature(serial_plan) == plan_signature(
-            thread_plans[index]
+            backend_axis.thread_plans[index]
         ), f"request {index}: thread-backend plan diverged from serial"
         assert plan_signature(serial_plan) == plan_signature(
-            process_plans[index]
+            backend_axis.process_plans[index]
         ), f"request {index}: process-backend plan diverged from serial"
 
-    count = len(requests_serial)
-    thread_rps = count / thread_wall
-    process_rps = count / process_wall
-    speedup = thread_wall / process_wall
-    cores = os.cpu_count() or 1
+
+def test_backend_axis_process_vs_thread(backend_axis, emit):
+    count = len(backend_axis.serial_plans)
+    thread_rps = count / backend_axis.thread_wall
+    process_rps = count / backend_axis.process_wall
+    speedup = backend_axis.thread_wall / backend_axis.process_wall
+    cores = usable_cores()
 
     sweep = Sweep("throughput_backend", x_label="workers")
     sweep.add(
@@ -344,8 +376,8 @@ def test_backend_axis_process_vs_thread(emit):
                 ["requests (all unique)", count],
                 ["workers", WORKERS],
                 ["cpu cores", cores],
-                ["thread wall (s)", thread_wall],
-                ["process wall (s)", process_wall],
+                ["thread wall (s)", backend_axis.thread_wall],
+                ["process wall (s)", backend_axis.process_wall],
                 ["thread req/s", thread_rps],
                 ["process req/s", process_rps],
                 ["process/thread speedup", speedup],
@@ -356,12 +388,16 @@ def test_backend_axis_process_vs_thread(emit):
         data=sweep,
     )
 
-    # The >= 2x contract needs actual cores to parallelise across; on a
-    # starved host (CI smoke containers have 4 vCPUs, this guard is for
-    # anything smaller) byte-identity above is still fully asserted.
-    if cores >= 4:
-        assert speedup >= 2.0, (
-            f"process backend {process_rps:.1f} req/s is only "
-            f"{speedup:.2f}x thread ({thread_rps:.1f} req/s) at "
-            f"{WORKERS} workers on {cores} cores; the contract is >= 2x"
+    # The >= 2x contract needs actual cores to parallelise across (CI
+    # smoke containers have 4 vCPUs); on fewer the gate did not run, and
+    # says so.
+    if cores < 4:
+        pytest.skip(
+            f"process-vs-thread >= 2x gate needs 4 usable cores, "
+            f"this process has {cores} (measured {speedup:.2f}x)"
         )
+    assert speedup >= 2.0, (
+        f"process backend {process_rps:.1f} req/s is only "
+        f"{speedup:.2f}x thread ({thread_rps:.1f} req/s) at "
+        f"{WORKERS} workers on {cores} cores; the contract is >= 2x"
+    )

@@ -381,16 +381,12 @@ class QASSA:
                 payload = self._local_phase(name, services, relevant, weights, stats)
                 cache.store(name, fp, payload)
                 stats.cache_misses += 1
-                stats.activities_recomputed += 1
             else:
                 stats.cache_hits += 1
             locals_[name] = payload
         if self.obs.enabled:
             self.obs.counter("selection_cache_hits_total").inc(stats.cache_hits)
             self.obs.counter("selection_cache_misses_total").inc(stats.cache_misses)
-            self.obs.counter("selection_activities_recomputed_total").inc(
-                stats.activities_recomputed
-            )
         return locals_
 
     def _context_key(

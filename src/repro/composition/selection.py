@@ -171,11 +171,10 @@ class SelectionStatistics:
     search_space: int = 0
     #: Incremental re-selection instrumentation (zero when no cache is wired):
     #: per-activity local-phase results served from / missed in the
-    #: :class:`~repro.composition.selection_cache.SelectionCache`, and how
-    #: many activities actually had their local phase recomputed this run.
+    #: :class:`~repro.composition.selection_cache.SelectionCache`; each miss
+    #: recomputes that activity's local phase.
     cache_hits: int = 0
     cache_misses: int = 0
-    activities_recomputed: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
 
 

@@ -51,7 +51,6 @@ class SelectionCache:
         self._context_key: Optional[Any] = None
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -70,8 +69,6 @@ class SelectionCache:
         another context are not comparable, let alone reusable.
         """
         if context_key != self._context_key:
-            if self._context_key is not None:
-                self.invalidations += 1
             self._entries.clear()
             self._context_key = context_key
 
@@ -86,10 +83,3 @@ class SelectionCache:
 
     def store(self, activity_name: str, fingerprint: Fingerprint, payload: Any) -> None:
         self._entries[activity_name] = (fingerprint, payload)
-
-    def clear(self) -> None:
-        """Drop everything (e.g. when the QoS model itself changes)."""
-        if self._entries or self._context_key is not None:
-            self.invalidations += 1
-        self._entries.clear()
-        self._context_key = None

@@ -327,7 +327,10 @@ class MetricsRegistry:
         """All metrics as JSON-serialisable dicts, sorted by (name, labels)."""
         records: List[Dict[str, Any]] = []
         for store in (self._counters, self._gauges, self._histograms):
-            records.extend(metric.to_dict() for metric in store.values())
+            # Copy first: another thread may create an instrument while
+            # this one serialises, and a dict must not change size
+            # during iteration.
+            records.extend(metric.to_dict() for metric in list(store.values()))
         records.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
         return records
 

@@ -23,7 +23,7 @@ from repro.runtime.backends import (
     ThreadBackend,
     build_backend,
 )
-from repro.runtime.batching import DiscoveryBatcher, RequestCoalescer
+from repro.runtime.batching import SingleFlight
 from repro.runtime.chaos import (
     ChaosPolicy,
     FiredFault,
@@ -42,7 +42,6 @@ __all__ = [
     "AdaptiveAdmissionController",
     "BACKEND_CHOICES",
     "ChaosPolicy",
-    "DiscoveryBatcher",
     "ExecutionBackend",
     "ProcessBackend",
     "ThreadBackend",
@@ -51,7 +50,7 @@ __all__ = [
     "InjectedSnapshotFailure",
     "InjectedWorkerCrash",
     "InvariantReport",
-    "RequestCoalescer",
+    "SingleFlight",
     "MiddlewareRuntime",
     "RetryBudget",
     "StaticAdmissionController",

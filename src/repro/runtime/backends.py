@@ -97,7 +97,7 @@ def _worker_context(middleware) -> WorkerContext:
 
 class ThreadBackend:
     """Inline execution on the runtime's own worker threads, each owning
-    one :class:`WorkerState` built on the runtime's shared batcher."""
+    one :class:`WorkerState` built on the runtime's shared pool memo."""
 
     name = "thread"
 
@@ -118,7 +118,8 @@ class ThreadBackend:
             runtime = self.runtime
             state = self._local.state = WorkerState(
                 self._context,
-                batcher=runtime.batcher,
+                pools=runtime.batcher,
+                match_cache=runtime.middleware.discovery.match_cache,
                 observability=runtime.observability,
                 estimator=runtime.middleware.estimator,
             )

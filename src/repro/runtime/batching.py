@@ -1,258 +1,120 @@
-"""Discovery batching: coalesce capability lookups across co-arriving requests.
+"""Single-flight memo: compute each lookup once across co-arriving requests.
 
-Requests that arrive together overwhelmingly ask for overlapping
-capabilities (the paper's scenarios share task templates), yet the serial
-middleware re-runs full semantic discovery — grade every advertised
-capability concept, expand the survivors, filter QoS — once per activity
-per request.  The :class:`DiscoveryBatcher` amortises that work across the
-whole co-arriving batch:
+Requests that arrive together mostly ask for the same work (the paper's
+scenarios are task templates shared across users), and both steps of the
+request path are pure functions of the registry generation plus their
+inputs, so :class:`~repro.runtime.runtime.MiddlewareRuntime` memoises
+each step with one :class:`SingleFlight`:
 
-* results are memoised per ``(snapshot generation, capability, degree)``,
-  so the N-th request for a capability against an unchanged world is a
-  dictionary hit;
-* a lookup that is *in flight* on another worker is joined, not repeated —
-  co-arriving requests block briefly on one shared computation instead of
-  racing through duplicate ones;
-* all semantic grading flows through the middleware's shared PR-4
-  :class:`~repro.semantics.matching.MatchCache`, so even cold lookups for
-  *different* capabilities reuse each other's concept gradings.
-
-The same idea lifts one level up: composition itself is deterministic per
-``(registry generation, request)``, so the :class:`RequestCoalescer`
-memoises whole composition results — N identical requests against an
-unchanged world compose once and each execution receives an independent
-:meth:`~repro.composition.selection.CompositionPlan.clone` (execution-time
-substitution mutates plans in place).
+* ``runtime.batcher`` holds discovery pools, keyed
+  ``(generation, capability, degree)``;
+* ``runtime.coalescer`` holds composed plans, keyed by the generation, the
+  request and its selection options, so N identical requests against an
+  unchanged world compose once.
 
 Churn invalidates naturally: a new registry generation produces new keys,
-and stale generations are dropped lazily.
+and storing its first result drops the older ones.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Set
 
-from repro.composition.selection import CompositionPlan
-from repro.semantics.matching import MatchCache, MatchDegree
-from repro.semantics.ontology import Ontology
-from repro.services.description import ServiceDescription
-from repro.services.discovery import DiscoveryQuery, QoSAwareDiscovery
-from repro.services.registry import RegistrySnapshot
-
-_PoolKey = Tuple[int, str, MatchDegree]
+from repro.observability import core as observability_core
 
 
-class DiscoveryBatcher:
-    """Snapshot-keyed, coalescing cache over semantic discovery.
+class SingleFlight:
+    """A generation-keyed memo that computes each key at most once at a time.
 
-    One batcher serves every worker of a
-    :class:`~repro.runtime.runtime.MiddlewareRuntime`.  ``ontology`` and
-    ``match_cache`` come from the wrapped middleware so concept gradings
-    are shared with the serial path (and therefore identical to it —
-    batched pools are byte-for-byte the pools serial discovery returns for
-    the same registry generation).
+    The rules:
+
+    * The call is :meth:`get` ``(key, compute)``, where ``key[0]`` is the
+      registry generation.
+    * A hit returns the stored value.  Values are stored untouched, so a
+      caller copies what it mutates.
+    * A caller whose key is already being computed waits on the memo's one
+      :class:`threading.Condition`, then checks again.
+    * A failed computation is not stored.  Its exception reaches only the
+      caller that computed; the waiters then compute the key themselves,
+      again one at a time.
+    * Storing a result for a newer generation drops every older entry.  A
+      result for a generation older than the newest stored one goes back
+      to its caller but is not stored.
+    * :attr:`lookups` counts calls, :attr:`computed` counts computations
+      that returned, and :attr:`coalesced` counts hits plus joins.  The
+      observability counters named ``computed_counter`` and
+      ``coalesced_counter`` count the same events.
     """
 
     def __init__(
         self,
-        ontology: Optional[Ontology] = None,
-        match_cache: Optional[MatchCache] = None,
+        computed_counter: str,
+        coalesced_counter: str,
         observability=None,
     ) -> None:
-        from repro.observability import core as observability_core
-
-        self.ontology = ontology
-        self.match_cache = match_cache
         self.obs = observability_core.resolve(observability)
+        self._computed_counter = computed_counter
+        self._coalesced_counter = coalesced_counter
         self._lock = threading.Lock()
-        self._pools: Dict[_PoolKey, List[ServiceDescription]] = {}
-        self._inflight: Dict[_PoolKey, threading.Event] = {}
-        self._discoveries: Dict[int, QoSAwareDiscovery] = {}
+        self._changed = threading.Condition(self._lock)
+        self._values: Dict[Hashable, Any] = {}
+        self._inflight: Set[Hashable] = set()
+        self._generation: Optional[int] = None
         self._lookups = 0
         self._computed = 0
+        self._coalesced = 0
 
-    # ------------------------------------------------------------------
-    def candidates(
-        self,
-        snapshot: RegistrySnapshot,
-        capability: str,
-        minimum_degree: MatchDegree,
-    ) -> List[ServiceDescription]:
-        """The discovery pool for one capability against one snapshot.
-
-        Blocks (briefly) when another worker is computing the same pool;
-        every caller receives its own list copy, safe to reorder locally.
-        """
-        key = (snapshot.generation, capability, minimum_degree)
-        while True:
-            with self._lock:
-                self._lookups += 1
-                pool = self._pools.get(key)
-                if pool is not None:
-                    self.obs.counter("runtime_discovery_coalesced_total").inc()
-                    return list(pool)
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    self._inflight[key] = threading.Event()
-                    break
-            # Same pool being computed on another worker: join it.
-            waiter.wait()
-            self.obs.counter("runtime_discovery_coalesced_total").inc()
-            with self._lock:
-                self._lookups += 1
-                pool = self._pools.get(key)
-            if pool is not None:
-                return list(pool)
-            # The computing worker failed; loop and try computing ourselves.
-
+    def get(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The value for ``key``, calling ``compute()`` on a miss."""
+        with self._changed:
+            self._lookups += 1
+            while key in self._inflight:
+                self._changed.wait()
+            hit = key in self._values
+            if hit:
+                self._coalesced += 1
+                value = self._values[key]
+            else:
+                self._inflight.add(key)
+        if hit:
+            self.obs.counter(self._coalesced_counter).inc()
+            return value
+        returned = False
         try:
-            discovery = self._discovery_for(snapshot)
-            query = DiscoveryQuery(
-                capability=capability, minimum_degree=minimum_degree
-            )
-            pool = discovery.candidates(query)
-            with self._lock:
-                self._pools[key] = pool
-                self._computed += 1
-                self._evict_stale(snapshot.generation)
-            self.obs.counter("runtime_discovery_batched_total").inc()
-            return list(pool)
+            value = compute()
+            returned = True
         finally:
-            with self._lock:
-                event = self._inflight.pop(key, None)
-            if event is not None:
-                event.set()
+            with self._changed:
+                self._inflight.discard(key)
+                if returned:
+                    self._computed += 1
+                    self._store(key, value)
+                self._changed.notify_all()
+        self.obs.counter(self._computed_counter).inc()
+        return value
+
+    def _store(self, key: Hashable, value: Any) -> None:
+        """File ``value`` under ``key`` unless its generation is stale."""
+        generation = key[0]
+        if self._generation is None or generation > self._generation:
+            self._values.clear()
+            self._generation = generation
+        if generation == self._generation:
+            self._values[key] = value
 
     # ------------------------------------------------------------------
     @property
     def lookups(self) -> int:
-        """Total pool requests served."""
+        """Calls to :meth:`get`."""
         return self._lookups
 
     @property
     def computed(self) -> int:
-        """Pools actually discovered (the rest were coalesced)."""
+        """Computations that returned a value."""
         return self._computed
 
     @property
     def coalesced(self) -> int:
-        """Lookups answered from the batch cache or a joined computation."""
-        return self._lookups - self._computed
-
-    # ------------------------------------------------------------------
-    def _discovery_for(self, snapshot: RegistrySnapshot) -> QoSAwareDiscovery:
-        """One discovery instance per snapshot generation (cheap, cached)."""
-        with self._lock:
-            discovery = self._discoveries.get(snapshot.generation)
-            if discovery is None:
-                discovery = QoSAwareDiscovery(
-                    snapshot,  # duck-types the registry read surface
-                    self.ontology,
-                    observability=self.obs,
-                    match_cache=self.match_cache,
-                )
-                self._discoveries[snapshot.generation] = discovery
-            return discovery
-
-    def _evict_stale(self, live_generation: int) -> None:
-        """Drop pools/discoveries for generations older than the live one."""
-        for key in [k for k in self._pools if k[0] != live_generation]:
-            del self._pools[key]
-        for generation in [
-            g for g in self._discoveries if g != live_generation
-        ]:
-            del self._discoveries[generation]
-
-
-class RequestCoalescer:
-    """Generation-keyed coalescing cache over whole composition results.
-
-    A broker sees the same request many times (the paper's scenarios are
-    task templates shared across users), and composition is a pure function
-    of ``(registry generation, request, selection options)``.  The
-    coalescer memoises the composed plans under exactly that key — the
-    caller builds it, including the generation as element ``0`` — and joins
-    in-flight computations the same way :class:`DiscoveryBatcher` does, so
-    a burst of identical requests costs one selection instead of N.
-
-    Cached entries stay pristine: :meth:`plans` returns a fresh
-    :meth:`~repro.composition.selection.CompositionPlan.clone` per plan on
-    every call, because execution-time substitution mutates plans in place.
-    """
-
-    def __init__(self, observability=None) -> None:
-        from repro.observability import core as observability_core
-
-        self.obs = observability_core.resolve(observability)
-        self._lock = threading.Lock()
-        self._plans: Dict[Hashable, List[CompositionPlan]] = {}
-        self._inflight: Dict[Hashable, threading.Event] = {}
-        self._lookups = 0
-        self._computed = 0
-
-    def plans(
-        self,
-        key: Hashable,
-        compute: Callable[[], List[CompositionPlan]],
-    ) -> List[CompositionPlan]:
-        """The composed plans for ``key``, computing at most once.
-
-        ``key[0]`` must be the registry generation (stale generations are
-        evicted when a newer one lands).  Every caller receives independent
-        plan clones.
-        """
-        while True:
-            with self._lock:
-                self._lookups += 1
-                plans = self._plans.get(key)
-                if plans is not None:
-                    self.obs.counter("runtime_plans_coalesced_total").inc()
-                    return [plan.clone() for plan in plans]
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    self._inflight[key] = threading.Event()
-                    break
-            # The same request is composing on another worker: join it.
-            waiter.wait()
-            self.obs.counter("runtime_plans_coalesced_total").inc()
-            with self._lock:
-                self._lookups += 1
-                plans = self._plans.get(key)
-            if plans is not None:
-                return [plan.clone() for plan in plans]
-            # The computing worker failed; loop and try computing ourselves.
-
-        try:
-            plans = compute()
-            with self._lock:
-                self._plans[key] = plans
-                self._computed += 1
-                self._evict_stale(key[0])
-            self.obs.counter("runtime_plans_computed_total").inc()
-            return [plan.clone() for plan in plans]
-        finally:
-            with self._lock:
-                event = self._inflight.pop(key, None)
-            if event is not None:
-                event.set()
-
-    # ------------------------------------------------------------------
-    @property
-    def lookups(self) -> int:
-        """Total plan requests served."""
-        return self._lookups
-
-    @property
-    def computed(self) -> int:
-        """Compositions actually run (the rest were coalesced)."""
-        return self._computed
-
-    @property
-    def coalesced(self) -> int:
-        """Lookups answered from the cache or a joined computation."""
-        return self._lookups - self._computed
-
-    def _evict_stale(self, live_generation: int) -> None:
-        for key in [k for k in self._plans if k[0] != live_generation]:
-            del self._plans[key]
+        """Calls answered by a stored value or a joined computation."""
+        return self._coalesced

@@ -7,7 +7,7 @@ composition needs), ships a pickled
 :class:`~repro.services.registry.RegistrySnapshot` once per registry
 generation, and then sends one ``("compose", ComposeRequest)`` message per
 request.  The child composes with the same :class:`WorkerState` a
-thread-backend worker uses — batched discovery against the snapshot, a
+thread-backend worker uses — memoised discovery against the snapshot, a
 private QASSA selector — and returns the finished
 :class:`~repro.composition.selection.CompositionPlan` list, which the
 parent rehydrates onto its own service objects (see
@@ -47,9 +47,16 @@ from repro.composition.selection import CandidateSets, CompositionPlan
 from repro.composition.selection_cache import SelectionCache
 from repro.observability import core as observability_core
 from repro.qos.properties import QoSProperty
-from repro.runtime.batching import DiscoveryBatcher
+from repro.runtime.batching import SingleFlight
 from repro.semantics.matching import MatchCache, MatchDegree
 from repro.semantics.ontology import Ontology
+from repro.services.discovery import DiscoveryQuery, QoSAwareDiscovery
+
+#: Observability counters of a discovery-pool memo: computed, coalesced.
+POOL_COUNTERS = (
+    "runtime_discovery_batched_total",
+    "runtime_discovery_coalesced_total",
+)
 
 
 @dataclass(frozen=True)
@@ -77,34 +84,36 @@ class ComposeRequest:
 
 
 class WorkerState:
-    """One worker's composition machinery: batched discovery plus a
+    """One worker's composition machinery: memoised discovery plus a
     private QASSA — the runtime's only discovery + selection path.
 
-    A worker process builds one from its :class:`WorkerContext` alone (own
-    batcher, no observability: its ``compose`` span is a no-op); the
-    thread backend adds the runtime's shared batcher, observability and
-    cross-layer estimator.
+    ``pools`` is the :class:`~repro.runtime.batching.SingleFlight` memo of
+    discovery pools, keyed ``(generation, capability, degree)``; a miss
+    grades concepts through ``match_cache``, so cold lookups for
+    different capabilities reuse each other's gradings.  A worker process
+    builds one from its :class:`WorkerContext` alone (its own memo and
+    match cache, no observability: its ``compose`` span is a no-op); the
+    thread backend passes the runtime's shared memo, the middleware's
+    match cache, observability and the cross-layer estimator.
     """
 
     def __init__(
         self,
         context: WorkerContext,
         *,
-        batcher: Optional[DiscoveryBatcher] = None,
+        pools: Optional[SingleFlight] = None,
+        match_cache: Optional[MatchCache] = None,
         observability=None,
         estimator=None,
     ) -> None:
         self.context = context
         self.obs = observability_core.resolve(observability)
-        if batcher is None:
-            batcher = DiscoveryBatcher(
-                ontology=context.ontology,
-                match_cache=(
-                    MatchCache(context.ontology)
-                    if context.ontology is not None else None
-                ),
-            )
-        self.batcher = batcher
+        if pools is None:
+            pools = SingleFlight(*POOL_COUNTERS)
+        if match_cache is None and context.ontology is not None:
+            match_cache = MatchCache(context.ontology)
+        self.pools = pools
+        self.match_cache = match_cache
         self.estimator = estimator
         self.selector = QASSA(
             context.properties,
@@ -124,11 +133,7 @@ class WorkerState:
             activities=request.task.size(), generation=snapshot.generation,
         ) as span:
             for activity in request.task.activities:
-                services = self.batcher.candidates(
-                    snapshot,
-                    activity.capability,
-                    self.context.discovery_minimum_degree,
-                )
+                services = self.candidates(snapshot, activity.capability)
                 if self.estimator is not None:
                     services = [
                         self.estimator.estimated_service(s)
@@ -150,6 +155,29 @@ class WorkerState:
                 ]
             span.set(utility=plans[0].utility, feasible=plans[0].feasible)
         return plans
+
+    def candidates(self, snapshot, capability: str) -> list:
+        """The discovery pool for ``capability`` on ``snapshot``.
+
+        Served from the pool memo; a miss runs semantic discovery on the
+        snapshot.  Every caller gets its own list, safe to reorder.
+        """
+        degree = self.context.discovery_minimum_degree
+
+        def discover():
+            discovery = QoSAwareDiscovery(
+                snapshot,  # duck-types the registry read surface
+                self.context.ontology,
+                observability=self.obs,
+                match_cache=self.match_cache,
+            )
+            return discovery.candidates(
+                DiscoveryQuery(capability=capability, minimum_degree=degree)
+            )
+
+        return list(self.pools.get(
+            (snapshot.generation, capability, degree), discover
+        ))
 
 
 def _error_reply(exc: Exception) -> tuple:

@@ -17,13 +17,12 @@ shared environment:
   on the environment can never show a half-mutated world to an in-flight
   selection.
 * **Discovery batching & request coalescing** — capability lookups from
-  co-arriving requests coalesce through one
-  :class:`~repro.runtime.batching.DiscoveryBatcher` (and the middleware's
-  shared semantic match cache), and whole composition results for
-  *identical* requests coalesce through a
-  :class:`~repro.runtime.batching.RequestCoalescer` — the throughput win
-  on repeated task templates under the thread backend, where the GIL
-  serialises selection.
+  co-arriving requests share one
+  :class:`~repro.runtime.batching.SingleFlight` memo of discovery pools
+  (and the middleware's shared semantic match cache), and whole
+  composition results for *identical* requests share a second one — the
+  throughput win on repeated task templates under the thread backend,
+  where the GIL serialises selection.
 * **Pluggable execution backends** — the CPU-bound composition step runs
   on an :class:`~repro.runtime.backends.ExecutionBackend`:
   ``backend="thread"`` composes inline on the worker threads,
@@ -71,10 +70,11 @@ from repro.observability.forensics import ForensicReporter
 from repro.resilience.policies import TimeoutPolicy
 from repro.runtime.admission import build_admission_controller
 from repro.runtime.backends import BACKEND_CHOICES, build_backend
-from repro.runtime.batching import DiscoveryBatcher, RequestCoalescer
+from repro.runtime.batching import SingleFlight
 from repro.runtime.chaos import ChaosPolicy, InjectedSnapshotFailure
 from repro.runtime.commit import CommitSequencer
 from repro.runtime.handle import RequestStatus, RunHandle, RunSpec
+from repro.runtime.process_worker import POOL_COUNTERS
 from repro.runtime.snapshot import SnapshotManager
 from repro.runtime.supervisor import RetryBudget, WorkerSupervisor
 
@@ -231,12 +231,16 @@ class MiddlewareRuntime:
         self.chaos = chaos
         self.observability = middleware.observability
         self.snapshots = SnapshotManager(middleware.environment.registry)
-        self.batcher = DiscoveryBatcher(
-            ontology=middleware.discovery.ontology,
-            match_cache=middleware.discovery.match_cache,
+        # Discovery pools keyed (generation, capability, degree), and
+        # composed plans keyed by _plan_key.
+        self.batcher = SingleFlight(
+            *POOL_COUNTERS, observability=self.observability
+        )
+        self.coalescer = SingleFlight(
+            "runtime_plans_computed_total",
+            "runtime_plans_coalesced_total",
             observability=self.observability,
         )
-        self.coalescer = RequestCoalescer(observability=self.observability)
         self._clock = middleware.environment.clock
 
         # Causal forensics: the flight recorder stamps lifecycle events on
@@ -561,12 +565,17 @@ class MiddlewareRuntime:
             finally:
                 # Deferred crash bundle: by now the attempt's spans have
                 # closed (the ``with`` blocks unwound inside _process), so
-                # the bundle captures the victim's complete span tree.
-                self._crash_bundle(handle)
-                with self._lock:
-                    self._in_flight -= 1
-                    self._gauge("runtime_in_flight").set(self._in_flight)
-                    self._idle.notify_all()
+                # the bundle captures the victim's complete span tree.  It
+                # is written before the decrement, so a returned drain()
+                # means the bundle is on disk; a bundle that raises must
+                # still release the in-flight slot, or drain() never ends.
+                try:
+                    self._crash_bundle(handle)
+                finally:
+                    with self._lock:
+                        self._in_flight -= 1
+                        self._gauge("runtime_in_flight").set(self._in_flight)
+                        self._idle.notify_all()
 
     def _requeue_or_fail(
         self, handle: RunHandle, error: BaseException
@@ -680,18 +689,23 @@ class MiddlewareRuntime:
             span.set(status=handle.status.value)
 
     def _compose(self, spec: RunSpec) -> List[CompositionPlan]:
-        """Concurrent composition: snapshot + batched discovery + private
+        """Concurrent composition: snapshot + memoised discovery + private
         selector, with whole-result coalescing across identical requests.
-        Pools and plans are identical to the serial path."""
+        Pools and plans are identical to the serial path.
+
+        Every caller gets its own plan clones: the memo keeps the composed
+        plans pristine, and execution-time substitution mutates plans in
+        place."""
         if self.chaos is not None:
             self.chaos.on_snapshot_acquire()
         snapshot = self.snapshots.acquire()
         key = self._plan_key(spec, snapshot.generation)
         if key is None:
             return self.backend.compose(spec, snapshot)
-        return self.coalescer.plans(
+        plans = self.coalescer.get(
             key, lambda: self.backend.compose(spec, snapshot)
         )
+        return [plan.clone() for plan in plans]
 
     def _plan_key(self, spec: RunSpec, generation: int):
         """The coalescing key for a request, or ``None`` when uncacheable.

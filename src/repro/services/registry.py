@@ -106,7 +106,7 @@ class ServiceRegistry:
         """Monotonic mutation counter: bumped by every publish/withdraw.
 
         Equal generations imply identical directory contents, so callers
-        (snapshot managers, discovery batchers) can cache derived state
+        (snapshot managers, the runtime's memos) can cache derived state
         keyed by generation and invalidate on change.
         """
         return self._generation

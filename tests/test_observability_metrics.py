@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.observability import MetricsRegistry, NULL_METRICS
-from repro.observability.metrics import Histogram, NULL_METRIC
+from repro.observability.metrics import Counter, Histogram, NULL_METRIC
 
 
 class TestCounter:
@@ -191,6 +191,23 @@ class TestRegistrySnapshot:
         registry.counter("x").inc()
         registry.reset()
         assert registry.snapshot() == []
+
+    def test_snapshot_survives_an_instrument_created_mid_iteration(self):
+        # Stands in for a worker thread creating its first instrument
+        # while another thread serialises the registry.
+        registry = MetricsRegistry()
+
+        class SpawningCounter(Counter):
+            def to_dict(self):
+                registry.counter("spawned_total").inc()
+                return super().to_dict()
+
+        registry._counters[("spawning_total", ())] = SpawningCounter(
+            "spawning_total"
+        )
+        names = [r["name"] for r in registry.snapshot()]
+        assert names == ["spawning_total"]
+        assert registry.value("spawned_total") == 1.0
 
 
 class TestNullRegistry:

@@ -269,30 +269,39 @@ class TestOneTerminalEventPerRequest:
         assert runtime.open_tickets == 0
 
 
+def _forensics_smoke(backend_name, directory):
+    """The forensics smoke schedule: one crash, one stall and one snapshot
+    failure over 12 shopping requests.  Returns the (unstarted) runtime,
+    its chaos policy and the request to submit."""
+    scenario = build_shopping_scenario()
+    observability = Observability(clock=scenario.environment.clock)
+    middleware = QASOM.for_environment(
+        scenario.environment, scenario.properties,
+        ontology=scenario.ontology, repository=scenario.repository,
+        observability=observability,
+    )
+    chaos = ChaosPolicy.from_schedule(
+        FaultSchedule.runtime_chaos(
+            (0.0, 0.2), crashes=1, stalls=1, snapshot_failures=1,
+            stall_seconds=0.01, seed=7,
+        ),
+        scenario.environment.clock, observability=observability,
+    )
+    config = _config(backend_name, queue_depth=12,
+                     flight_recorder=FlightRecorder(capacity=4096),
+                     forensics_dir=str(directory))
+    runtime = MiddlewareRuntime(middleware, config, chaos=chaos)
+    return runtime, chaos, scenario.request
+
+
 class TestChaosOnEveryBackend:
     def test_crash_bundle_and_invariants(self, backend, tmp_path):
-        """The forensics smoke schedule: one crash, one stall and one
-        snapshot failure.  Every injection point and every recorder write
-        is on the parent's threads, so both backends honour it."""
-        scenario = build_shopping_scenario()
-        observability = Observability(clock=scenario.environment.clock)
-        middleware = QASOM.for_environment(
-            scenario.environment, scenario.properties,
-            ontology=scenario.ontology, repository=scenario.repository,
-            observability=observability,
-        )
-        chaos = ChaosPolicy.from_schedule(
-            FaultSchedule.runtime_chaos(
-                (0.0, 0.2), crashes=1, stalls=1, snapshot_failures=1,
-                stall_seconds=0.01, seed=7,
-            ),
-            scenario.environment.clock, observability=observability,
-        )
-        config = _config(backend, queue_depth=12,
-                         flight_recorder=FlightRecorder(capacity=4096),
-                         forensics_dir=str(tmp_path))
-        with MiddlewareRuntime(middleware, config, chaos=chaos) as runtime:
-            handles = [runtime.submit(scenario.request) for _ in range(12)]
+        """Every injection point and every recorder write of the forensics
+        smoke schedule is on the parent's threads, so both backends
+        honour it."""
+        runtime, chaos, request = _forensics_smoke(backend, tmp_path)
+        with runtime:
+            handles = [runtime.submit(request) for _ in range(12)]
             runtime.drain(timeout=120.0)
             report = verify_runtime_invariants(runtime, handles)
         assert report.ok, report.violations
@@ -315,6 +324,24 @@ class TestChaosOnEveryBackend:
                 position = kinds.index(kind, position) + 1
             roots = [s for s in bundle["spans"] if s.get("parent_id") is None]
             assert len(roots) == 1, f"{backend}: {len(roots)} roots"
+
+    def test_a_crash_bundle_that_raises_does_not_wedge_drain(
+        self, backend, tmp_path
+    ):
+        runtime, _, request = _forensics_smoke(backend, tmp_path)
+        triggered = []
+
+        def broken_trigger(reason, **attrs):
+            triggered.append(reason)
+            raise RuntimeError("forensic bundle could not be written")
+
+        runtime.forensics.trigger = broken_trigger
+        with runtime:
+            handles = [runtime.submit(request) for _ in range(12)]
+            runtime.drain(timeout=30.0)
+            assert runtime.in_flight == 0
+        assert triggered == ["worker_crash"]
+        assert all(handle.done() for handle in handles)
 
 
 class TestWorkerProcessCrashes:

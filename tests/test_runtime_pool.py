@@ -217,8 +217,11 @@ class TestSubmissionSurface:
             handles = [runtime.submit(request, execute=False)
                        for _ in range(6)]
             runtime.drain()
-            assert runtime.coalescer.computed == 1
-            assert runtime.coalescer.coalesced >= 5
+            coalescer = runtime.coalescer
+            assert (coalescer.lookups, coalescer.computed,
+                    coalescer.coalesced) == (6, 1, 5)
+        # Every caller gets its own clone of the memoised plan.
+        assert len({id(handle.plan()) for handle in handles}) == 6
         signatures = {
             tuple(sorted(
                 (a, sel.primary.service_id)
