@@ -1,9 +1,14 @@
 """K-means clustering of service candidates into QoS levels (§IV.3.2).
 
 QASSA's local selection phase clusters each activity's candidate services in
-normalised QoS space.  Clusters are then ranked by the utility of their
-centroid, yielding **QoS levels** ``QL_r`` (rank 0 = best).  Services inside
-a level that share (quantised) QoS values form **QoS classes** ``QC_{r,e}``.
+normalised QoS space (:func:`kmeans`).  Clusters are then ranked by the
+utility of their centroid (:func:`rank_levels`), yielding **QoS levels**
+``QL_r`` (rank 0 = best).  Services inside a level that share (quantised)
+QoS values form **QoS classes** ``QC_{r,e}``.
+
+Only the ranking reads the user's weights: the clusters depend on the
+normalised points and the set of dimensions, so QASSA clusters a candidate
+pool once and re-ranks its clusters for every new weight profile.
 
 The implementation is a plain Lloyd's algorithm over dicts of normalised
 values — pure Python, deterministic under a seed, with k-means++
@@ -72,7 +77,7 @@ def kmeans(
 
     ``k`` is clamped to ``len(points)``; empty clusters are dropped from the
     result rather than re-seeded (the level ranking only needs non-empty
-    clusters).
+    clusters), with a warning when fewer than ``k`` clusters remain.
     """
     if not points:
         raise SelectionError("cannot cluster an empty candidate set")
@@ -144,6 +149,13 @@ def kmeans(
         inertia += sum(
             _distance_squared(points[i], centroids[j], dims) for i in bucket
         )
+    if len(clusters) < k:
+        logger.warning(
+            "k-means produced %d QoS levels out of %d requested "
+            "(duplicate candidate QoS collapses clusters)",
+            len(clusters),
+            k,
+        )
     return KMeansResult(clusters=clusters, iterations=iterations, inertia=inertia)
 
 
@@ -168,24 +180,24 @@ class QoSLevel:
         return len(self.member_indexes)
 
 
-def build_qos_levels(
-    points: Sequence[Point],
+def rank_levels(
+    clusters: Sequence[Cluster],
     utilities: Sequence[float],
     weights: Mapping[str, float],
-    k: int,
-    seed: int = 0,
-) -> Tuple[List[QoSLevel], KMeansResult]:
-    """Cluster normalised candidate QoS and rank clusters into QoS levels.
+) -> List[QoSLevel]:
+    """Rank k-means clusters into QoS levels under the user's weights.
 
-    ``points`` are normalised (1 = best) per-property scores; ``utilities``
-    the per-candidate SAW utilities (same order).  The centroid utility used
-    for ranking is the weighted sum of the centroid's dimensions — the
-    utility "a typical member" of the cluster offers.
+    ``utilities`` are the per-candidate SAW utilities, indexed like the
+    clusters' members.  A cluster's centroid utility is the weighted sum of
+    its centroid's dimensions -- the utility "a typical member" offers; the
+    levels are sorted by it, best first, ties keeping the clusters' order.
+    Each level lists its members best utility first and takes the best one
+    as its representative.  The clusters are not modified: every level gets
+    its own member list and centroid copy.
     """
     dims = sorted(weights)
-    result = kmeans(points, k, dims, seed=seed)
     levels: List[QoSLevel] = []
-    for cluster in result.clusters:
+    for cluster in clusters:
         centroid_utility = sum(
             weights[d] * cluster.centroid.get(d, 0.0) for d in dims
         )
@@ -196,7 +208,7 @@ def build_qos_levels(
                 member_indexes=sorted(
                     cluster.members, key=lambda i: -utilities[i]
                 ),
-                centroid=cluster.centroid,
+                centroid=dict(cluster.centroid),
                 centroid_utility=centroid_utility,
                 representative=representative,
             )
@@ -204,15 +216,24 @@ def build_qos_levels(
     levels.sort(key=lambda lv: -lv.centroid_utility)
     for rank, level in enumerate(levels):
         level.rank = rank
-    requested = min(k, len(points))
-    if len(levels) < requested:
-        logger.warning(
-            "k-means produced %d QoS levels out of %d requested "
-            "(duplicate candidate QoS collapses clusters)",
-            len(levels),
-            requested,
-        )
-    return levels, result
+    return levels
+
+
+def build_qos_levels(
+    points: Sequence[Point],
+    utilities: Sequence[float],
+    weights: Mapping[str, float],
+    k: int,
+    seed: int = 0,
+) -> Tuple[List[QoSLevel], KMeansResult]:
+    """Cluster normalised candidate QoS and rank clusters into QoS levels.
+
+    ``points`` are normalised (1 = best) per-property scores; ``utilities``
+    the per-candidate SAW utilities (same order).  :func:`kmeans` over the
+    weighted dimensions followed by :func:`rank_levels`.
+    """
+    result = kmeans(points, k, sorted(weights), seed=seed)
+    return rank_levels(result.clusters, utilities, weights), result
 
 
 def quantise_classes(

@@ -16,6 +16,11 @@ environments:
    (rank 0 = best); each level's highest-utility member becomes its
    *representative*.
 
+Steps 1-3 never read the user's weights, so they form a *weight-free
+stage* that a :class:`~repro.composition.selection_cache.SelectionCache`
+keeps per candidate pool; step 4 and the candidates' SAW utilities form
+the *weighted stage*, redone on every selection.
+
 **Global selection phase** (§IV.3.3):
 
 The algorithm searches the *level lattice* — one level choice per activity —
@@ -49,7 +54,7 @@ from repro.qos.properties import QoSProperty
 from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
 from repro.composition.aggregation import AggregationApproach, aggregation_bounds
-from repro.composition.clustering import QoSLevel, build_qos_levels
+from repro.composition.clustering import QoSLevel, kmeans, rank_levels
 from repro.composition.request import UserRequest
 from repro.composition.selection import (
     CandidateSets,
@@ -59,7 +64,7 @@ from repro.composition.selection import (
     evaluate_assignment,
 )
 from repro.composition.selection_cache import SelectionCache
-from repro.composition.utility import Normalizer, service_utility
+from repro.composition.utility import Normalizer, point_utility
 from repro.observability import core as observability_core
 
 
@@ -92,6 +97,12 @@ class LocalSelection:
     holds the Pareto-dominated ones, utility-sorted — never selected as
     primaries, but still valid substitutes when the non-dominated pool is
     too small to fill the alternates quota.
+
+    ``services``, ``points``, ``normalizer``, ``clustering_iterations`` and
+    ``extremes`` come from the weight-free stage (shared by every request
+    over the same pool and properties); ``utilities``, ``levels`` and the
+    ``reserve`` order come from the request's weights.  Every instance has
+    lists of its own, so nothing a caller does to one reaches the cache.
     """
 
     activity_name: str
@@ -122,12 +133,14 @@ class QASSA:
         Algorithm tuning knobs.
     cache:
         Optional :class:`~repro.composition.selection_cache.SelectionCache`.
-        When present, per-activity local-phase results are reused across
-        ``select()`` calls whenever an activity's candidate pool is
-        unchanged — churn and fault events then recompute only the
-        activities they actually touched.  Chosen compositions are
-        identical with and without the cache (the local phase is
-        deterministic).
+        When present, each activity's weight-free local stage (normaliser,
+        extremes, Pareto pruning, k-means clusters) is reused across
+        ``select()`` and ``local_selections()`` calls whenever the
+        activity's candidate pool and the relevant properties are
+        unchanged — a new weight profile only re-ranks the cached
+        clusters, and churn and fault events recompute only the activities
+        they actually touched.  Chosen compositions are identical with and
+        without the cache (the local phase is deterministic).
     """
 
     def __init__(
@@ -346,14 +359,13 @@ class QASSA:
         self, request: UserRequest, candidates: CandidateSets
     ) -> Dict[str, LocalSelection]:
         """Run only the local phase (used by the distributed variant, where
-        each device computes its own activities' levels)."""
-        stats = SelectionStatistics()
+        each device computes its own activities' levels).  It consults the
+        cache like :meth:`select` does."""
         relevant = self._relevant_properties(request)
         weights = request.normalised_weights(relevant)
-        return {
-            name: self._local_phase(name, services, relevant, weights, stats)
-            for name, services in candidates.items()
-        }
+        return self._local_selections(
+            candidates, relevant, weights, SelectionStatistics()
+        )
 
     # ------------------------------------------------------------------
     # local phase
@@ -366,40 +378,24 @@ class QASSA:
         stats: SelectionStatistics,
     ) -> Dict[str, LocalSelection]:
         """Local phase for every activity, consulting the cache when wired."""
-        cache = self.cache
-        if cache is None:
-            return {
-                name: self._local_phase(name, services, relevant, weights, stats)
-                for name, services in candidates.items()
-            }
-        cache.begin(self._context_key(relevant, weights))
-        locals_: Dict[str, LocalSelection] = {}
-        for name, services in candidates.items():
-            fp = SelectionCache.fingerprint(services)
-            payload = cache.lookup(name, fp)
-            if payload is None:
-                payload = self._local_phase(name, services, relevant, weights, stats)
-                cache.store(name, fp, payload)
-                stats.cache_misses += 1
-            else:
-                stats.cache_hits += 1
-            locals_[name] = payload
-        if self.obs.enabled:
+        if self.cache is not None:
+            self.cache.begin(self._context_key(relevant))
+        locals_ = {
+            name: self._local_phase(name, services, relevant, weights, stats)
+            for name, services in candidates.items()
+        }
+        if self.cache is not None and self.obs.enabled:
             self.obs.counter("selection_cache_hits_total").inc(stats.cache_hits)
             self.obs.counter("selection_cache_misses_total").inc(stats.cache_misses)
         return locals_
 
-    def _context_key(
-        self,
-        relevant: Mapping[str, QoSProperty],
-        weights: Mapping[str, float],
-    ) -> Tuple:
-        """Everything, beyond the candidate pools, a local-phase result
-        depends on.  Cached entries from a different context are unusable."""
+    def _context_key(self, relevant: Mapping[str, QoSProperty]) -> Tuple:
+        """Everything, beyond the candidate pools, the weight-free stage
+        depends on.  The relevant names keep the request's order, which the
+        cached normaliser and points carry.  Cached entries from a
+        different context are unusable."""
         return (
-            tuple(sorted(relevant)),
-            tuple(sorted(weights.items())),
-            self.approach.value,
+            tuple(relevant),
             self.config.levels_per_activity,
             self.config.prune_dominated,
             self.config.seed,
@@ -422,32 +418,55 @@ class QASSA:
         weights: Mapping[str, float],
         stats: SelectionStatistics,
     ) -> LocalSelection:
+        """One activity's local phase: the weight-free stage from the cache
+        (computed and stored on a miss), then the weighted stage."""
         with self.obs.span(
             "qassa.cluster", activity=activity_name,
             candidates=len(services),
         ) as span:
-            selection = self._local_phase_inner(
-                activity_name, services, relevant, weights, stats
-            )
+            stage = None
+            if self.cache is not None:
+                fingerprint = SelectionCache.fingerprint(services)
+                stage = self.cache.lookup(activity_name, fingerprint)
+            cached = stage is not None
+            if cached:
+                stats.cache_hits += 1
+            else:
+                stage = self._weight_free_stage(
+                    activity_name, services, relevant, stats
+                )
+                if self.cache is not None:
+                    self.cache.store(activity_name, fingerprint, stage)
+                    stats.cache_misses += 1
+            selection = self._weighted_stage(activity_name, stage, weights, stats)
             span.set(
                 levels=len(selection.levels),
                 kept=len(selection.services),
                 pruned=len(selection.reserve),
                 clustering_iterations=selection.clustering_iterations,
+                cached=cached,
             )
-        requested = min(self.config.levels_per_activity, len(selection.points))
-        if len(selection.levels) < requested and self.obs.enabled:
-            self.obs.counter("qassa_levels_collapsed_total").inc()
         return selection
 
-    def _local_phase_inner(
+    def _weight_free_stage(
         self,
         activity_name: str,
         services: Sequence[ServiceDescription],
         relevant: Mapping[str, QoSProperty],
-        weights: Mapping[str, float],
         stats: SelectionStatistics,
-    ) -> LocalSelection:
+    ) -> Tuple:
+        """The part of the local phase the weights never enter: restrict
+        and normalise the candidates' QoS, record the per-property
+        extremes, prune the Pareto-dominated candidates and cluster the
+        kept ones.
+
+        Returns ``(kept, pruned, normalizer, extremes, clustering)``: the
+        kept and the pruned ``(service, normalised point)`` pairs in pool
+        order, the local normaliser, the per-property ``(best, worst)``
+        values over the whole pool and the kept points' k-means result.
+        The cache shares it between requests, so nothing downstream
+        mutates it.
+        """
         vectors = [s.advertised_qos.restrict(relevant) for s in services]
         normalizer = Normalizer.from_vectors(vectors, relevant)
         extremes: Dict[str, Tuple[float, float]] = {}
@@ -463,44 +482,56 @@ class QASSA:
                 prop.direction.worst(values),
             )
 
-        kept_services = list(services)
-        kept_vectors = vectors
-        reserve: List[ServiceDescription] = []
+        keep = range(len(services))
         if self.config.prune_dominated and len(services) > 1:
-            keep = self._non_dominated_indexes(kept_vectors)
-            kept = set(keep)
-            pruned = [
-                (service_utility(vectors[i], normalizer, weights), services[i])
-                for i in range(len(services))
-                if i not in kept
-            ]
-            pruned.sort(key=lambda pair: -pair[0])
-            reserve = [service for _, service in pruned]
-            kept_services = [kept_services[i] for i in keep]
-            kept_vectors = [kept_vectors[i] for i in keep]
-
-        points = [normalizer.normalise_vector(v) for v in kept_vectors]
-        utilities = [service_utility(v, normalizer, weights) for v in kept_vectors]
-        stats.utility_evaluations += len(utilities)
-
-        levels, km = build_qos_levels(
-            points,
-            utilities,
-            weights,
-            k=self.config.levels_per_activity,
+            keep = self._non_dominated_indexes(vectors)
+        kept_indexes = set(keep)
+        points = [normalizer.normalise_vector(v) for v in vectors]
+        kept = tuple((services[i], points[i]) for i in keep)
+        pruned = tuple(
+            (services[i], points[i])
+            for i in range(len(services))
+            if i not in kept_indexes
+        )
+        clustering = kmeans(
+            [point for _, point in kept],
+            self.config.levels_per_activity,
+            sorted(relevant),
             seed=self.config.seed,
         )
-        stats.clustering_iterations += km.iterations
+        stats.clustering_iterations += clustering.iterations
+        requested = min(self.config.levels_per_activity, len(kept))
+        if len(clustering.clusters) < requested and self.obs.enabled:
+            self.obs.counter("qassa_levels_collapsed_total").inc()
+        return kept, pruned, normalizer, extremes, clustering
+
+    @staticmethod
+    def _weighted_stage(
+        activity_name: str,
+        stage: Tuple,
+        weights: Mapping[str, float],
+        stats: SelectionStatistics,
+    ) -> LocalSelection:
+        """The part of the local phase the weights drive: SAW utilities of
+        every candidate, the reserve order and the ranking of the cached
+        clusters into QoS levels."""
+        kept, pruned, normalizer, extremes, clustering = stage
+        scored = [
+            (point_utility(point, weights), service) for service, point in pruned
+        ]
+        scored.sort(key=lambda pair: -pair[0])
+        utilities = [point_utility(point, weights) for _, point in kept]
+        stats.utility_evaluations += len(utilities)
         return LocalSelection(
             activity_name=activity_name,
-            services=kept_services,
-            points=points,
+            services=[service for service, _ in kept],
+            points=[dict(point) for _, point in kept],
             utilities=utilities,
-            levels=levels,
+            levels=rank_levels(clustering.clusters, utilities, weights),
             normalizer=normalizer,
-            clustering_iterations=km.iterations,
-            reserve=reserve,
-            extremes=extremes,
+            clustering_iterations=clustering.iterations,
+            reserve=[service for _, service in scored],
+            extremes=dict(extremes),
         )
 
     def _build_global_normalizer(

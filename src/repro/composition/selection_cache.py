@@ -1,31 +1,38 @@
 """Incremental re-selection cache for QASSA's local phase.
 
 In a pervasive environment selection runs repeatedly: services churn,
-faults trigger substitution, users re-issue requests.  Most of the time the
-candidate set of *most* activities is unchanged between two runs — only the
-activity whose provider appeared/vanished actually needs its normalisation,
-Pareto pruning and clustering redone.  :class:`SelectionCache` makes that
-incremental: it remembers, per activity, the local-phase result keyed by a
-**fingerprint** of the candidate set, and a selector asks it before
-recomputing.
+faults trigger substitution, users re-issue requests with their own
+weights.  Most of the time the candidate set of *most* activities is
+unchanged between two runs — only the activity whose provider
+appeared/vanished actually needs its normalisation, Pareto pruning and
+clustering redone, and none of those read the user's weights.
+:class:`SelectionCache` makes that incremental: it remembers, per activity,
+the weight-free part of the local phase keyed by a **fingerprint** of the
+candidate set, and a selector asks it before recomputing.
 
 Design notes
 ------------
 
-* The payload is *opaque* to this module (QASSA stores its
-  ``LocalSelection`` objects) so the cache carries no import dependency on
-  the selector — the selector depends on the cache, never the reverse.
+* The payload is *opaque* to this module (QASSA stores its weight-free
+  stage: normaliser, extremes, kept and pruned candidates with their
+  normalised points, k-means clusters) so the cache carries no import
+  dependency on the selector — the selector depends on the cache, never
+  the reverse.  Payloads are shared by every later run that hits them, so
+  the selector treats them as read-only and builds each run's
+  ``LocalSelection`` (utilities, levels, reserve order) afresh.
 * The fingerprint covers everything the local phase reads from a candidate:
   ``(service_id, advertised QoS vector)`` per service, in pool order.  Any
   publish/withdraw/QoS-refresh of a candidate changes the fingerprint and
   forces a recompute; reordering the pool does too (clustering seeds index
   into pool order, so order is part of the contract).
 * Results also depend on the selection *context* — which properties are
-  relevant, the user's weights, the aggregation approach and the local-phase
-  tuning knobs.  :meth:`begin` receives a hashable ``context_key``; when it
-  differs from the previous run's the whole cache is flushed.  Within one
-  context, cached results are byte-equal to recomputed ones because the
-  local phase is deterministic (seeded k-means, stable sorts).
+  relevant (in the request's order, which the cached normaliser keeps) and
+  the local-phase tuning knobs.  The user's weights and the aggregation
+  approach are not part of it: the weight-free stage never reads them.
+  :meth:`begin` receives a hashable ``context_key``; when it differs from
+  the previous run's the whole cache is flushed.  Within one context,
+  cached results are byte-equal to recomputed ones because the stage is
+  deterministic (seeded k-means, stable sorts).
 * The cache is private to one selector.  Substitution does not read it:
   each plan carries its activities' local normalisers
   (:attr:`~repro.composition.selection.SelectedActivity.normalizer`).
@@ -64,9 +71,9 @@ class SelectionCache:
     def begin(self, context_key: Any) -> None:
         """Start a selection run under ``context_key``.
 
-        A context change (different relevant properties, weights, approach
-        or local-phase knobs) flushes every entry — results computed under
-        another context are not comparable, let alone reusable.
+        A context change (different relevant properties or local-phase
+        knobs) flushes every entry — results computed under another context
+        are not comparable, let alone reusable.
         """
         if context_key != self._context_key:
             self._entries.clear()

@@ -136,6 +136,23 @@ def service_utility(
     return total
 
 
+def point_utility(point: Mapping[str, float], weights: Mapping[str, float]) -> float:
+    """SAW utility of a point :meth:`Normalizer.normalise_vector` returned.
+
+    The same terms, summed in the same order, as :func:`service_utility`
+    over the vector the point came from (when every weighted property has
+    a span), so a cache of normalised points can be scored under any
+    weights without normalising again.
+    """
+    total = 0.0
+    for name, weight in weights.items():
+        score = point.get(name)
+        if score is None:
+            continue
+        total += weight * score
+    return total
+
+
 def composition_utility(
     aggregated: QoSVector,
     normalizer: Normalizer,
