@@ -9,11 +9,11 @@ the exact rows.  When the benchmark hands ``emit`` the sweep itself (the
 (median/min/max/mean/stdev) that the rendered table collapses to a median.
 
 Sweeps named in :data:`TRACKED_BENCHMARKS` additionally append to a
-trajectory file at the repository root (``BENCH_throughput.json``,
-``BENCH_tail_latency.json``): a committed, append-only history of the
-headline series, so performance regressions show up in review diffs
-instead of only in expiring CI artifacts.  Each run appends one entry and
-the history is capped at :data:`TRAJECTORY_LIMIT` most-recent runs.
+trajectory file at the repository root (``BENCH_optimality.json``): a
+committed, append-only history of the headline series, so performance
+regressions show up in review diffs instead of only in expiring CI
+artifacts.  Each run appends one entry and the history is capped at
+:data:`TRAJECTORY_LIMIT` most-recent runs.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 #: Sweep name -> repo-root trajectory file.
 TRACKED_BENCHMARKS = {
-    "throughput": "BENCH_throughput.json",
-    "throughput_backend": "BENCH_throughput.json",
-    "tail_latency": "BENCH_tail_latency.json",
-    "chaos": "BENCH_chaos.json",
     "optimality": "BENCH_optimality.json",
 }
 

@@ -47,7 +47,7 @@ def dump_repository(repository: TaskClassRepository) -> str:
             behaviour_element.append(
                 ET.fromstring(to_bpel(behaviour.task))
             )
-    _indent(root)
+    ET.indent(root, space="  ")
     return ET.tostring(root, encoding="unicode")
 
 
@@ -110,19 +110,3 @@ def read_repository(
 ) -> TaskClassRepository:
     """Load a bundle from disk."""
     return load_repository(pathlib.Path(path).read_text(), ontology)
-
-
-def _indent(element: ET.Element, level: int = 0) -> None:
-    pad = "\n" + "  " * level
-    if len(element):
-        if not element.text or not element.text.strip():
-            element.text = pad + "  "
-        for child in element:
-            _indent(child, level + 1)
-            if not child.tail or not child.tail.strip():
-                child.tail = pad + "  "
-        last = element[-1]
-        if not last.tail or not last.tail.strip():
-            last.tail = pad
-    elif level and (not element.tail or not element.tail.strip()):
-        element.tail = pad

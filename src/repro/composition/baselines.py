@@ -57,6 +57,7 @@ from repro.composition.selection import (
     SelectionStatistics,
     evaluate_assignment,
     make_global_normalizer,
+    relevant_properties,
 )
 from repro.composition.utility import Normalizer, service_utility
 
@@ -71,15 +72,6 @@ class _BaseSelector:
     ) -> None:
         self.properties = dict(properties)
         self.approach = approach
-
-    def _relevant(self, request: UserRequest) -> Dict[str, QoSProperty]:
-        names = request.relevant_properties or tuple(self.properties)
-        missing = [n for n in names if n not in self.properties]
-        if missing:
-            raise SelectionError(
-                f"request refers to properties unknown to the selector: {missing}"
-            )
-        return {n: self.properties[n] for n in names}
 
     def _plan(
         self,
@@ -103,7 +95,7 @@ class _BaseSelector:
                 # candidate with the activity's local SAW utility and keep
                 # the best (candidate order breaks exact ties).
                 if relevant is None:
-                    relevant = self._relevant(request)
+                    relevant = relevant_properties(self.properties, request)
                     weights = request.normalised_weights(relevant)
                 pool = candidates[name]
                 local_norm = Normalizer.from_vectors(
@@ -159,7 +151,7 @@ class ExhaustiveSelection(_BaseSelector):
                 f"exhaustive search space {stats.search_space} exceeds "
                 f"limit {self.limit}"
             )
-        relevant = self._relevant(request)
+        relevant = relevant_properties(self.properties, request)
         normalizer = make_global_normalizer(
             request.task, candidates, relevant, self.approach
         )
@@ -217,7 +209,7 @@ class GreedySelection(_BaseSelector):
     ) -> CompositionPlan:
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = self._relevant(request)
+        relevant = relevant_properties(self.properties, request)
         weights = request.normalised_weights(relevant)
         normalizer = make_global_normalizer(
             request.task, candidates, relevant, self.approach
@@ -278,7 +270,7 @@ class RandomSelection(_BaseSelector):
     ) -> CompositionPlan:
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = self._relevant(request)
+        relevant = relevant_properties(self.properties, request)
         normalizer = make_global_normalizer(
             request.task, candidates, relevant, self.approach
         )
@@ -356,7 +348,7 @@ class GeneticSelection(_BaseSelector):
     ) -> CompositionPlan:
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = self._relevant(request)
+        relevant = relevant_properties(self.properties, request)
         normalizer = make_global_normalizer(
             request.task, candidates, relevant, self.approach
         )

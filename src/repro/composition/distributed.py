@@ -27,9 +27,14 @@ from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
 from repro.services.description import ServiceDescription
 from repro.composition.aggregation import AggregationApproach
-from repro.composition.qassa import QASSA, QassaConfig
+from repro.composition.qassa import FEASIBLE_BEAM, QASSA, QassaConfig
 from repro.composition.request import UserRequest
-from repro.composition.selection import CandidateSets, CompositionPlan
+from repro.composition.selection import (
+    CandidateSets,
+    CompositionPlan,
+    SelectionStatistics,
+    relevant_properties,
+)
 
 
 @dataclass(frozen=True)
@@ -139,15 +144,13 @@ class DistributedQASSA:
         )
 
         # --- global phase: coordinator-side assembly ------------------------
-        relevant = self.qassa._relevant_properties(request)
-        weights = request.normalised_weights(relevant)
+        relevant = relevant_properties(self.qassa.properties, request)
         started = time.perf_counter()
-        from repro.composition.selection import SelectionStatistics
-
         stats = SelectionStatistics(search_space=candidates.search_space())
-        plan = self.qassa._global_phase(
-            request, candidates, locals_, relevant, weights, stats, best_effort
-        )
+        plan = self.qassa.global_phase(
+            request, candidates, locals_, relevant, stats, FEASIBLE_BEAM,
+            best_effort,
+        )[0]
         timing.global_phase_seconds = time.perf_counter() - started
 
         stats.elapsed_seconds = timing.total_seconds

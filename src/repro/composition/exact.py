@@ -64,6 +64,7 @@ from repro.composition.selection import (
     SelectionStatistics,
     evaluate_assignment,
     make_global_normalizer,
+    relevant_properties,
 )
 
 
@@ -116,7 +117,7 @@ class ExactSelection(_BaseSelector):
     ) -> CompositionPlan:
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = self._relevant(request)
+        relevant = relevant_properties(self.properties, request)
         normalizer = make_global_normalizer(
             request.task, candidates, relevant, self.approach
         )

@@ -37,9 +37,9 @@ tree and checked against the global constraints:
   slack on the most-violated constraint; if repair fails, the state's lattice
   successors are enqueued.
 
-The search is capped (``max_combinations``); with utility-sorted levels the
-first feasible states found are near-optimal, which is exactly the trade-off
-Figs. VI.5-6 quantify (near-linear time, >90 % optimality).
+The search is capped (:data:`MAX_COMBINATIONS`); with utility-sorted levels
+the first feasible states found are near-optimal, which is exactly the
+trade-off Figs. VI.5-6 quantify (near-linear time, >90 % optimality).
 """
 
 from __future__ import annotations
@@ -62,30 +62,38 @@ from repro.composition.selection import (
     SelectedActivity,
     SelectionStatistics,
     evaluate_assignment,
+    relevant_properties,
 )
 from repro.composition.selection_cache import SelectionCache
 from repro.composition.utility import Normalizer, point_utility
 from repro.observability import core as observability_core
 
 
+#: The k of k-means: QoS levels per activity (the paper uses a small
+#: constant so the lattice stays tractable).
+LEVELS_PER_ACTIVITY = 4
+#: Cap on the lattice states one global phase explores.
+MAX_COMBINATIONS = 5000
+#: Full sweeps of the per-state constraint-repair loop.
+REPAIR_PASSES = 3
+#: Kept services per activity the refine sweep tries, best local utility
+#: first.
+REFINE_CANDIDATES = 10
+#: Feasible compositions :meth:`QASSA.select` collects before returning
+#: the best of them.
+FEASIBLE_BEAM = 2
+
+
 @dataclass(frozen=True)
 class QassaConfig:
-    """Tuning knobs of QASSA.
+    """The knobs of QASSA callers set.
 
-    ``levels_per_activity`` is the k of k-means (the paper uses a small
-    constant so the lattice stays tractable).  ``alternates_kept`` bounds
-    how many ranked services each activity retains for dynamic binding.
-    ``max_combinations`` caps the global phase's lattice exploration;
-    ``repair_passes`` bounds the per-state constraint-repair loop.
+    ``alternates_kept`` bounds how many ranked services each activity
+    retains for dynamic binding; ``seed`` seeds k-means.  The search's
+    sizes are the module constants above.
     """
 
-    levels_per_activity: int = 4
     alternates_kept: int = 3
-    max_combinations: int = 5000
-    repair_passes: int = 3
-    refine_candidates: int = 10
-    feasible_beam: int = 2
-    prune_dominated: bool = True
     seed: int = 0
 
 
@@ -130,7 +138,7 @@ class QASSA:
     approach:
         Aggregation approach for run-time-unknown patterns.
     config:
-        Algorithm tuning knobs.
+        The alternates quota and the k-means seed.
     cache:
         Optional :class:`~repro.composition.selection_cache.SelectionCache`.
         When present, each activity's weight-free local stage (normaliser,
@@ -158,7 +166,7 @@ class QASSA:
         self.obs = observability_core.resolve(observability)
 
     # ------------------------------------------------------------------
-    # public entry point
+    # public entry points
     # ------------------------------------------------------------------
     def select(
         self,
@@ -168,42 +176,18 @@ class QASSA:
     ) -> CompositionPlan:
         """Select a composition fulfilling the request.
 
+        The lattice walk collects a small beam of feasible compositions
+        (:data:`FEASIBLE_BEAM`) and the best by utility is returned — the
+        paper's "several compositions providing different levels of QoS",
+        reduced to its champion.
+
         Raises :class:`SelectionError` when no explored combination meets
         the global constraints, unless ``best_effort`` is set — then the
         highest-utility infeasible plan is returned with
         ``plan.feasible == False`` (the adaptation framework uses this to
         decide whether behavioural adaptation should kick in).
         """
-        started = time.perf_counter()
-        with self.obs.span(
-            "qassa.select", task=request.task.name,
-            activities=len(candidates.activity_names()),
-        ) as span:
-            stats = SelectionStatistics(search_space=candidates.search_space())
-            relevant = self._relevant_properties(request)
-            weights = request.normalised_weights(relevant)
-
-            locals_ = self._local_selections(candidates, relevant, weights, stats)
-            plan = self._global_phase(
-                request, candidates, locals_, relevant, weights, stats,
-                best_effort
-            )
-            span.set(
-                utility=plan.utility,
-                feasible=plan.feasible,
-                combinations_explored=stats.combinations_explored,
-                utility_evaluations=stats.utility_evaluations,
-            )
-        stats.elapsed_seconds = time.perf_counter() - started
-        plan.statistics = stats
-        self.obs.counter("qassa_selections_total").inc()
-        self.obs.histogram("qassa_selection_seconds").observe(
-            stats.elapsed_seconds
-        )
-        self.obs.counter("qassa_combinations_explored_total").inc(
-            stats.combinations_explored
-        )
-        return plan
+        return self._select(request, candidates, FEASIBLE_BEAM, best_effort)[0]
 
     def select_ranked(
         self,
@@ -225,50 +209,83 @@ class QASSA:
         """
         if k < 1:
             raise SelectionError("k must be >= 1")
+        return self._select(request, candidates, k, best_effort=False)
+
+    def _select(
+        self,
+        request: UserRequest,
+        candidates: CandidateSets,
+        k: int,
+        best_effort: bool,
+    ) -> List[CompositionPlan]:
+        """Local phase then :meth:`global_phase`, under one ``qassa.select``
+        span; every returned plan shares the run's statistics."""
         started = time.perf_counter()
-        stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = self._relevant_properties(request)
-        weights = request.normalised_weights(relevant)
-        locals_ = self._local_selections(candidates, relevant, weights, stats)
-        plans, _ = self._global_phase_multi(
-            request, candidates, locals_, relevant, weights, stats, k
-        )
-        if not plans:
-            raise SelectionError(
-                "no service composition satisfies the global QoS constraints "
-                f"(explored {stats.combinations_explored} level combinations)"
+        with self.obs.span(
+            "qassa.select", task=request.task.name,
+            activities=len(candidates.activity_names()),
+        ) as span:
+            stats = SelectionStatistics(search_space=candidates.search_space())
+            relevant = relevant_properties(self.properties, request)
+            weights = request.normalised_weights(relevant)
+            locals_ = self._local_selections(candidates, relevant, weights, stats)
+            plans = self.global_phase(
+                request, candidates, locals_, relevant, stats, k, best_effort
             )
-        elapsed = time.perf_counter() - started
-        plans.sort(key=lambda p: -p.utility)
+            span.set(
+                utility=plans[0].utility,
+                feasible=plans[0].feasible,
+                combinations_explored=stats.combinations_explored,
+                utility_evaluations=stats.utility_evaluations,
+            )
+        stats.elapsed_seconds = time.perf_counter() - started
         for plan in plans:
             plan.statistics = stats
-        stats.elapsed_seconds = elapsed
+        self.obs.counter("qassa_selections_total").inc()
+        self.obs.histogram("qassa_selection_seconds").observe(
+            stats.elapsed_seconds
+        )
+        self.obs.counter("qassa_combinations_explored_total").inc(
+            stats.combinations_explored
+        )
         return plans
 
-    def _global_phase_multi(
+    def global_phase(
         self,
         request: UserRequest,
         candidates: CandidateSets,
         locals_: Mapping[str, LocalSelection],
         relevant: Mapping[str, QoSProperty],
-        weights: Mapping[str, float],
         stats: SelectionStatistics,
         k: int,
-    ) -> Tuple[List[CompositionPlan], Optional[CompositionPlan]]:
-        """Best-first lattice walk collecting up to ``k`` feasible plans.
+        best_effort: bool = False,
+    ) -> List[CompositionPlan]:
+        """The global phase (§IV.3.3) over finished local selections.
 
-        Returns ``(feasible plans, best infeasible plan)`` — the latter for
-        best-effort callers when nothing feasible exists in budget.
+        Walks the level lattice best-first until ``k`` distinct feasible
+        compositions are found or :data:`MAX_COMBINATIONS` states are
+        explored, and returns them best utility first.  When none is
+        feasible, ``best_effort`` returns the highest-utility infeasible
+        plan alone; otherwise :class:`SelectionError` is raised.  The
+        distributed coordinator calls it on the devices' local selections.
         """
         with self.obs.span("qassa.global", k=k) as span:
             plans, best_infeasible = self._lattice_walk(
-                request, candidates, locals_, relevant, weights, stats, k
+                request, candidates, locals_, relevant, stats, k
             )
             span.set(
                 combinations_explored=stats.combinations_explored,
                 feasible_found=len(plans),
             )
-        return plans, best_infeasible
+        if plans:
+            plans.sort(key=lambda p: -p.utility)
+            return plans
+        if best_effort and best_infeasible is not None:
+            return [best_infeasible]
+        raise SelectionError(
+            "no service composition satisfies the global QoS constraints "
+            f"(explored {stats.combinations_explored} level combinations)"
+        )
 
     def _lattice_walk(
         self,
@@ -276,10 +293,13 @@ class QASSA:
         candidates: CandidateSets,
         locals_: Mapping[str, LocalSelection],
         relevant: Mapping[str, QoSProperty],
-        weights: Mapping[str, float],
         stats: SelectionStatistics,
         k: int,
     ) -> Tuple[List[CompositionPlan], Optional[CompositionPlan]]:
+        """Best-first lattice walk collecting up to ``k`` feasible plans.
+
+        Returns ``(feasible plans, best infeasible plan)``.
+        """
         task = request.task
         names = candidates.activity_names()
         global_norm = self._build_global_normalizer(task, locals_, relevant)
@@ -297,7 +317,7 @@ class QASSA:
         best_infeasible: Optional[CompositionPlan] = None
         seen_bindings: set = set()
 
-        while heap and stats.combinations_explored < self.config.max_combinations:
+        while heap and stats.combinations_explored < MAX_COMBINATIONS:
             _, state = heapq.heappop(heap)
             stats.combinations_explored += 1
             assignment = {
@@ -361,7 +381,7 @@ class QASSA:
         """Run only the local phase (used by the distributed variant, where
         each device computes its own activities' levels).  It consults the
         cache like :meth:`select` does."""
-        relevant = self._relevant_properties(request)
+        relevant = relevant_properties(self.properties, request)
         weights = request.normalised_weights(relevant)
         return self._local_selections(
             candidates, relevant, weights, SelectionStatistics()
@@ -394,21 +414,7 @@ class QASSA:
         depends on.  The relevant names keep the request's order, which the
         cached normaliser and points carry.  Cached entries from a
         different context are unusable."""
-        return (
-            tuple(relevant),
-            self.config.levels_per_activity,
-            self.config.prune_dominated,
-            self.config.seed,
-        )
-
-    def _relevant_properties(self, request: UserRequest) -> Dict[str, QoSProperty]:
-        names = request.relevant_properties or tuple(self.properties)
-        missing = [n for n in names if n not in self.properties]
-        if missing:
-            raise SelectionError(
-                f"request refers to properties unknown to the selector: {missing}"
-            )
-        return {n: self.properties[n] for n in names}
+        return (tuple(relevant), self.config.seed)
 
     def _local_phase(
         self,
@@ -482,9 +488,7 @@ class QASSA:
                 prop.direction.worst(values),
             )
 
-        keep = range(len(services))
-        if self.config.prune_dominated and len(services) > 1:
-            keep = self._non_dominated_indexes(vectors)
+        keep = self._non_dominated_indexes(vectors)
         kept_indexes = set(keep)
         points = [normalizer.normalise_vector(v) for v in vectors]
         kept = tuple((services[i], points[i]) for i in keep)
@@ -495,12 +499,12 @@ class QASSA:
         )
         clustering = kmeans(
             [point for _, point in kept],
-            self.config.levels_per_activity,
+            LEVELS_PER_ACTIVITY,
             sorted(relevant),
             seed=self.config.seed,
         )
         stats.clustering_iterations += clustering.iterations
-        requested = min(self.config.levels_per_activity, len(kept))
+        requested = min(LEVELS_PER_ACTIVITY, len(kept))
         if len(clustering.clusters) < requested and self.obs.enabled:
             self.obs.counter("qassa_levels_collapsed_total").inc()
         return kept, pruned, normalizer, extremes, clustering
@@ -566,35 +570,8 @@ class QASSA:
         return keep or list(range(len(vectors)))
 
     # ------------------------------------------------------------------
-    # global phase
+    # global phase helpers
     # ------------------------------------------------------------------
-    def _global_phase(
-        self,
-        request: UserRequest,
-        candidates: CandidateSets,
-        locals_: Mapping[str, LocalSelection],
-        relevant: Mapping[str, QoSProperty],
-        weights: Mapping[str, float],
-        stats: SelectionStatistics,
-        best_effort: bool,
-    ) -> CompositionPlan:
-        """The single-answer global phase: walk the lattice collecting a
-        small *beam* of feasible compositions (``config.feasible_beam``)
-        and return the best by utility — the paper's "several compositions
-        providing different levels of QoS", reduced to its champion."""
-        plans, best_infeasible = self._global_phase_multi(
-            request, candidates, locals_, relevant, weights, stats,
-            k=max(self.config.feasible_beam, 1),
-        )
-        if plans:
-            return max(plans, key=lambda p: p.utility)
-        if best_effort and best_infeasible is not None:
-            return best_infeasible
-        raise SelectionError(
-            "no service composition satisfies the global QoS constraints "
-            f"(explored {stats.combinations_explored} level combinations)"
-        )
-
     def _refine_utility(
         self,
         request: UserRequest,
@@ -613,10 +590,10 @@ class QASSA:
         Local SAW utility (which picked the level representatives) and
         *composition* utility (min-max over aggregated bounds) can disagree,
         especially on small candidate sets.  For each activity, the top
-        ``config.refine_candidates`` kept services (across all levels,
+        :data:`REFINE_CANDIDATES` kept services (across all levels,
         best-local-utility first) are tried in place; a swap is kept when it
         improves composition utility without breaking feasibility.  Cost is
-        O(n · refine_candidates) aggregations — negligible next to the
+        O(n · REFINE_CANDIDATES) aggregations — negligible next to the
         lattice search.
         """
         task = request.task
@@ -625,7 +602,7 @@ class QASSA:
             sel = locals_[name]
             ordered = sorted(
                 range(len(sel.services)), key=lambda i: -sel.utilities[i]
-            )[: self.config.refine_candidates]
+            )[:REFINE_CANDIDATES]
             current_best = best[2]
             for idx in ordered:
                 candidate = sel.services[idx]
@@ -659,7 +636,7 @@ class QASSA:
 
         Within the state's chosen clusters, repeatedly rebind the activity
         whose swap most improves the most-violated constraint.  Bounded by
-        ``config.repair_passes`` full sweeps.
+        :data:`REPAIR_PASSES` full sweeps.
         """
         task = request.task
         member_lists: Dict[str, List[int]] = {
@@ -676,7 +653,7 @@ class QASSA:
                 name: locals_[name].services[idx] for name, idx in chosen.items()
             }
 
-        for _ in range(self.config.repair_passes):
+        for _ in range(REPAIR_PASSES):
             assignment = current_assignment()
             aggregated, utility, feasible = evaluate_assignment(
                 task, request, assignment, relevant, global_norm, self.approach

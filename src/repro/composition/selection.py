@@ -254,6 +254,24 @@ class CompositionPlan:
         )
 
 
+def relevant_properties(
+    properties: Mapping[str, QoSProperty], request: UserRequest
+) -> Dict[str, QoSProperty]:
+    """The properties a selector reasons over for ``request``.
+
+    The request's ``relevant_properties`` in its order, or every one of
+    ``properties`` when it names none.  Raises
+    :class:`~repro.errors.SelectionError` for a name ``properties`` lacks.
+    """
+    names = request.relevant_properties or tuple(properties)
+    missing = [n for n in names if n not in properties]
+    if missing:
+        raise SelectionError(
+            f"request refers to properties unknown to the selector: {missing}"
+        )
+    return {n: properties[n] for n in names}
+
+
 def make_global_normalizer(
     task: Task,
     candidates: CandidateSets,

@@ -27,7 +27,7 @@ Design notes
   into pool order, so order is part of the contract).
 * Results also depend on the selection *context* — which properties are
   relevant (in the request's order, which the cached normaliser keeps) and
-  the local-phase tuning knobs.  The user's weights and the aggregation
+  the k-means seed.  The user's weights and the aggregation
   approach are not part of it: the weight-free stage never reads them.
   :meth:`begin` receives a hashable ``context_key``; when it differs from
   the previous run's the whole cache is flushed.  Within one context,
@@ -71,8 +71,8 @@ class SelectionCache:
     def begin(self, context_key: Any) -> None:
         """Start a selection run under ``context_key``.
 
-        A context change (different relevant properties or local-phase
-        knobs) flushes every entry — results computed under another context
+        A context change (different relevant properties or seed) flushes
+        every entry — results computed under another context
         are not comparable, let alone reusable.
         """
         if context_key != self._context_key:

@@ -137,7 +137,7 @@ def to_bpel(task: Task) -> str:
     """Serialise a user task back to abstract BPEL."""
     process = ET.Element("process", {"name": task.name})
     process.append(_emit(task.root))
-    _indent(process)
+    ET.indent(process, space="  ")
     return ET.tostring(process, encoding="unicode")
 
 
@@ -180,7 +180,7 @@ def to_executable_bpel(plan) -> str:
                 " ".join(s.service_id for s in selection.alternates),
             )
     process.append(body)
-    _indent(process)
+    ET.indent(process, space="  ")
     return ET.tostring(process, encoding="unicode")
 
 
@@ -223,19 +223,3 @@ def _emit(node: Node) -> ET.Element:
         element.append(_emit(node.body))
         return element
     raise BpelParseError(f"cannot serialise node {type(node).__name__}")
-
-
-def _indent(element: ET.Element, level: int = 0) -> None:
-    pad = "\n" + "  " * level
-    if len(element):
-        if not element.text or not element.text.strip():
-            element.text = pad + "  "
-        for child in element:
-            _indent(child, level + 1)
-            if not child.tail or not child.tail.strip():
-                child.tail = pad + "  "
-        last = element[-1]
-        if not last.tail or not last.tail.strip():
-            last.tail = pad
-    elif level and (not element.tail or not element.tail.strip()):
-        element.tail = pad

@@ -228,28 +228,29 @@ class QASOM:
             pools[activity.name] = services
         return CandidateSets(task, pools)
 
-    def _compose_plan(
-        self, request: UserRequest, best_effort: bool = False
-    ) -> CompositionPlan:
-        """Discover + select: the request's answer, ready for execution."""
+    def _compose(
+        self, request: UserRequest, ranked: int = 0, best_effort: bool = False
+    ) -> List[CompositionPlan]:
+        """Discover + select: the request's plan, or with ``ranked`` up to
+        that many distinct feasible compositions, best QoS first (§I.1:
+        the platform proposes ranked alternatives and the user picks)."""
         with self.observability.span(
             "compose", task=request.task.name,
             activities=request.task.size(),
         ) as span:
             candidates = self.candidates_for(request.task)
-            plan = self.selector.select(
-                request, candidates, best_effort=best_effort
-            )
-            span.set(utility=plan.utility, feasible=plan.feasible)
-        return plan
-
-    def _compose_ranked_plans(
-        self, request: UserRequest, k: int = 3
-    ) -> List[CompositionPlan]:
-        """Several distinct feasible compositions, best QoS first (§I.1:
-        the platform proposes ranked alternatives and the user picks)."""
-        candidates = self.candidates_for(request.task)
-        return self.selector.select_ranked(request, candidates, k=k)
+            if ranked:
+                plans = self.selector.select_ranked(
+                    request, candidates, k=ranked
+                )
+            else:
+                plans = [
+                    self.selector.select(
+                        request, candidates, best_effort=best_effort
+                    )
+                ]
+            span.set(utility=plans[0].utility, feasible=plans[0].feasible)
+        return plans
 
     # ------------------------------------------------------------------
     # adaptation framework
@@ -410,23 +411,17 @@ class QASOM:
                 "runtime.request", task=task_name, execute=spec.execute,
                 inline=True,
             ) as request_span:
-                if spec.ranked:
-                    plans = self._compose_ranked_plans(
-                        spec.request, k=spec.ranked
-                    )
-                    request_span.set(status="done")
-                    return finish(plans=plans)
                 if spec.plan is not None:
-                    chosen = spec.plan
+                    plans = [spec.plan]
                 else:
-                    chosen = self._compose_plan(
-                        spec.request, best_effort=spec.best_effort
+                    plans = self._compose(
+                        spec.request, spec.ranked, spec.best_effort
                     )
                 if not spec.execute:
                     request_span.set(status="done")
-                    return finish(plans=[chosen])
+                    return finish(plans=plans)
                 result = self._execute_plan(
-                    chosen, adapt=spec.adapt, track_sla=spec.track_sla
+                    plans[0], adapt=spec.adapt, track_sla=spec.track_sla
                 )
                 request_span.set(status="done")
         return finish(result=result)
@@ -447,7 +442,7 @@ class QASOM:
             with self.observability.span(
                 "run", task=request.task.name
             ) as run_span:
-                plan = self._compose_plan(request, best_effort=best_effort)
+                plan = self._compose(request, best_effort=best_effort)[0]
                 result = self._execute_plan(
                     plan, adapt=adapt, track_sla=track_sla
                 )

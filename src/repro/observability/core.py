@@ -40,13 +40,10 @@ class ObservabilityConfig:
     """The middleware-level observability knob.
 
     ``enabled`` turns tracing + metrics on for components the middleware
-    constructs.  ``trace`` / ``metrics`` allow switching either half off
-    individually (a metrics-only deployment skips span bookkeeping).
+    constructs.
     """
 
     enabled: bool = False
-    trace: bool = True
-    metrics: bool = True
 
 
 class Observability:
@@ -54,14 +51,9 @@ class Observability:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        trace: bool = True,
-        metrics: bool = True,
-    ) -> None:
-        self.tracer: Any = Tracer(clock) if trace else NULL_TRACER
-        self.metrics: Any = MetricsRegistry() if metrics else NULL_METRICS
+    def __init__(self, clock: Optional[Clock] = None) -> None:
+        self.tracer = Tracer(clock)
+        self.metrics = MetricsRegistry()
 
     # -- tracing -------------------------------------------------------
     def span(self, name: str, **attributes: Any):
@@ -93,8 +85,7 @@ class Observability:
     # ------------------------------------------------------------------
     def attach_clock(self, clock: Optional[Clock]) -> None:
         """Point span simulated-time capture at an environment's clock."""
-        if isinstance(self.tracer, Tracer):
-            self.tracer.clock = clock
+        self.tracer.clock = clock
 
     def reset(self) -> None:
         self.tracer.reset()
@@ -106,7 +97,7 @@ class Observability:
     ) -> "Observability":
         if not config.enabled:
             return NULL_OBSERVABILITY  # type: ignore[return-value]
-        return cls(clock=clock, trace=config.trace, metrics=config.metrics)
+        return cls(clock=clock)
 
 
 class _NullObservability:
@@ -163,11 +154,7 @@ def set_default(observability: Optional[Any]) -> Any:
 
 
 @contextlib.contextmanager
-def enabled(
-    clock: Optional[Clock] = None,
-    trace: bool = True,
-    metrics: bool = True,
-) -> Iterator[Observability]:
+def enabled(clock: Optional[Clock] = None) -> Iterator[Observability]:
     """Run a block with a fresh ambient :class:`Observability` installed.
 
     Components constructed inside the block (experiment sweeps, ad-hoc
@@ -177,7 +164,7 @@ def enabled(
             figures.fig_vi5a()
         print(render_span_tree(obs.spans))
     """
-    obs = Observability(clock=clock, trace=trace, metrics=metrics)
+    obs = Observability(clock=clock)
     previous = set_default(obs)
     try:
         yield obs

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, List, Protocol, runtime_checkable
 from repro.errors import UnsupportedBackendFeatureError, WorkerProcessCrash
 from repro.composition.selection import CompositionPlan, SelectedActivity
 from repro.runtime.process_worker import (
-    ComposeRequest,
     WorkerContext,
     WorkerState,
     worker_main,
@@ -206,14 +205,7 @@ class ProcessBackend:
             if channel.generation != snapshot.generation:
                 channel.conn.send(("snapshot", snapshot))
                 channel.generation = snapshot.generation
-            channel.conn.send((
-                "compose",
-                ComposeRequest(
-                    request=spec.request,
-                    ranked=spec.ranked,
-                    best_effort=spec.best_effort,
-                ),
-            ))
+            channel.conn.send(("compose", spec))
             reply = channel.conn.recv()
         except (EOFError, OSError) as exc:
             broken = True

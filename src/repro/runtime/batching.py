@@ -13,7 +13,9 @@ each step with one :class:`SingleFlight`:
   unchanged world compose once.
 
 Churn invalidates naturally: a new registry generation produces new keys,
-and storing its first result drops the older ones.
+and storing its first result drops the older ones.  Within one generation
+a memo keeps at most :data:`MEMO_CAPACITY` values, so a long-lived runtime
+serving distinct requests in an unchanged world stays bounded.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import threading
 from typing import Any, Callable, Dict, Hashable, Optional, Set
 
 from repro.observability import core as observability_core
+
+#: Most values one memo stores; past it, the oldest stored value goes.
+MEMO_CAPACITY = 256
 
 
 class SingleFlight:
@@ -41,6 +46,8 @@ class SingleFlight:
     * Storing a result for a newer generation drops every older entry.  A
       result for a generation older than the newest stored one goes back
       to its caller but is not stored.
+    * At most :data:`MEMO_CAPACITY` values are stored; storing one more
+      drops the oldest, which computes again on its next lookup.
     * :attr:`lookups` counts calls, :attr:`computed` counts computations
       that returned, and :attr:`coalesced` counts hits plus joins.  The
       observability counters named ``computed_counter`` and
@@ -102,6 +109,8 @@ class SingleFlight:
             self._generation = generation
         if generation == self._generation:
             self._values[key] = value
+            if len(self._values) > MEMO_CAPACITY:
+                del self._values[next(iter(self._values))]
 
     # ------------------------------------------------------------------
     @property

@@ -5,7 +5,7 @@ A worker process is a tiny request-reply server over one
 :class:`WorkerContext` (the picklable slice of middleware configuration
 composition needs), ships a pickled
 :class:`~repro.services.registry.RegistrySnapshot` once per registry
-generation, and then sends one ``("compose", ComposeRequest)`` message per
+generation, and then sends one ``("compose", RunSpec)`` message per
 request.  The child composes with the same :class:`WorkerState` a
 thread-backend worker uses — memoised discovery against the snapshot, a
 private QASSA selector — and returns the finished
@@ -25,24 +25,23 @@ Messages (all tuples, first element is the kind):
     Fire-and-forget; must precede any compose.
 ``("snapshot", RegistrySnapshot)``
     Fire-and-forget; replaces the worker's world view.
-``("compose", ComposeRequest)``
+``("compose", RunSpec)``
     Request-reply; answered with ``("ok", [CompositionPlan, ...])`` or
     ``("error", exception)`` (``("error_opaque", type_name, message)``
-    when the exception itself does not pickle).
+    when the exception itself does not pickle).  A reply that does not
+    pickle is answered with the error its send raised.
 ``("exit",)``
     Clean shutdown.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import NoCandidateError
 from repro.composition.qassa import QASSA, QassaConfig
 from repro.composition.aggregation import AggregationApproach
-from repro.composition.request import UserRequest
 from repro.composition.selection import CandidateSets, CompositionPlan
 from repro.composition.selection_cache import SelectionCache
 from repro.observability import core as observability_core
@@ -72,15 +71,6 @@ class WorkerContext:
     qassa: QassaConfig
     discovery_minimum_degree: MatchDegree
     ontology: Optional[Ontology]
-
-
-@dataclass(frozen=True)
-class ComposeRequest:
-    """One composition order: the request plus its selection options."""
-
-    request: UserRequest
-    ranked: int
-    best_effort: bool
 
 
 class WorkerState:
@@ -123,10 +113,10 @@ class WorkerState:
             cache=SelectionCache(),
         )
 
-    def compose(self, order, snapshot) -> List[CompositionPlan]:
-        """Discover every activity's pool on ``snapshot``, then select;
-        ``order`` is a :class:`ComposeRequest` or a ``RunSpec``."""
-        request = order.request
+    def compose(self, spec, snapshot) -> List[CompositionPlan]:
+        """Discover every activity's pool on ``snapshot``, then select
+        as the :class:`~repro.runtime.handle.RunSpec` ``spec`` asks."""
+        request = spec.request
         pools: Dict[str, list] = {}
         with self.obs.span(
             "compose", task=request.task.name,
@@ -143,14 +133,14 @@ class WorkerState:
                     raise NoCandidateError(activity.name)
                 pools[activity.name] = services
             candidates = CandidateSets(request.task, pools)
-            if order.ranked:
+            if spec.ranked:
                 plans = self.selector.select_ranked(
-                    request, candidates, k=order.ranked
+                    request, candidates, k=spec.ranked
                 )
             else:
                 plans = [
                     self.selector.select(
-                        request, candidates, best_effort=order.best_effort
+                        request, candidates, best_effort=spec.best_effort
                     )
                 ]
             span.set(utility=plans[0].utility, feasible=plans[0].feasible)
@@ -180,18 +170,16 @@ class WorkerState:
         ))
 
 
-def _error_reply(exc: Exception) -> tuple:
-    """An ``("error", ...)`` reply, degrading to opaque transport.
+def _send_error(conn, exc: Exception) -> None:
+    """Reply ``("error", exc)``, degrading to opaque transport.
 
-    ``Connection.send`` pickles into a buffer before writing any bytes, so
-    probing with ``pickle.dumps`` first guarantees the reply that *is*
-    sent never corrupts the stream mid-message.
+    ``Connection.send`` pickles the whole message before it writes a
+    byte, so a send that raises leaves the stream clean for the next one.
     """
     try:
-        pickle.dumps(exc)
-        return ("error", exc)
+        conn.send(("error", exc))
     except Exception:  # noqa: BLE001 - any pickle failure degrades
-        return ("error_opaque", type(exc).__name__, str(exc))
+        conn.send(("error_opaque", type(exc).__name__, str(exc)))
 
 
 def worker_main(conn) -> None:
@@ -213,12 +201,9 @@ def worker_main(conn) -> None:
                 try:
                     if state is None or snapshot is None:
                         raise RuntimeError("compose before context/snapshot")
-                    plans = state.compose(message[1], snapshot)
-                    reply = ("ok", plans)
-                    pickle.dumps(reply)  # probe before touching the pipe
+                    conn.send(("ok", state.compose(message[1], snapshot)))
                 except Exception as exc:  # noqa: BLE001 - shipped to parent
-                    reply = _error_reply(exc)
-                conn.send(reply)
+                    _send_error(conn, exc)
             elif kind == "exit":
                 return
     finally:

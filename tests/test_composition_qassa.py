@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,13 @@ class TestBasicSelection:
         b = QASSA(PROPS, config=QassaConfig(seed=1)).select(request, candidates)
         assert a.service_ids() == b.service_ids()
 
+    def test_config_keeps_only_the_caller_knobs(self):
+        assert [f.name for f in dataclasses.fields(QassaConfig)] == [
+            "alternates_kept", "seed",
+        ]
+        with pytest.raises(TypeError):
+            QassaConfig(prune_dominated=False)
+
 
 class TestConstraints:
     def test_feasible_plan_satisfies_constraints(self):
@@ -187,15 +196,6 @@ class TestLocalPhase:
         selector = QASSA(PROPS)
         locals_ = selector.local_selections(request, candidates)
         assert [s.name for s in locals_["A"].services] == ["good"]
-
-    def test_pruning_can_be_disabled(self):
-        task = Task("t", sequence(leaf("A", "task:C")))
-        generator = ServiceGenerator(PROPS, seed=1)
-        candidates = CandidateSets(task, {"A": generator.candidates("task:C", 8)})
-        request = UserRequest(task, weights={n: 1.0 for n in PROPS})
-        selector = QASSA(PROPS, config=QassaConfig(prune_dominated=False))
-        locals_ = selector.local_selections(request, candidates)
-        assert len(locals_["A"].services) == 8
 
     def test_levels_cover_kept_services(self):
         _, request, candidates = build_problem(services=30)

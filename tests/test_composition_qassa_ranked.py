@@ -11,6 +11,7 @@ from repro.composition.qassa import QASSA, QassaConfig
 from repro.composition.request import GlobalConstraint, UserRequest
 from repro.composition.selection import CandidateSets
 from repro.composition.task import Task, leaf, sequence
+from repro.observability import Observability
 
 PROPS = {
     name: STANDARD_PROPERTIES[name]
@@ -94,3 +95,25 @@ class TestSelectRanked:
         plans = QASSA(PROPS).select_ranked(constrained, candidates, k=3)
         for plan in plans:
             assert plan.aggregated_qos["response_time"] <= bound + 1e-9
+
+
+class TestOneSelectionPath:
+    def test_ranked_selection_is_traced_and_counted_like_select(self):
+        request, candidates = build_problem()
+        obs = Observability()
+        plans = QASSA(PROPS, observability=obs).select_ranked(
+            request, candidates, k=3
+        )
+        assert [span.name for span in obs.spans] == ["qassa.select"]
+        (root,) = obs.spans
+        assert len(root.find("qassa.select")) == 1
+        assert [c.name for c in root.children if c.name == "qassa.global"] == [
+            "qassa.global"
+        ]
+        assert root.find("qassa.global")[0].attributes["k"] == 3
+        assert root.attributes["utility"] == plans[0].utility
+        assert obs.metrics.value("qassa_selections_total") == 1
+        assert obs.metrics.histogram("qassa_selection_seconds").count == 1
+        assert obs.metrics.value("qassa_combinations_explored_total") == (
+            plans[0].statistics.combinations_explored
+        )

@@ -83,6 +83,22 @@ class TestTracedRun:
             "violation", "forecast", "failure",
         )
 
+    def test_serial_ranked_submission_composes_under_a_compose_span(
+        self, scenario
+    ):
+        obs = Observability(clock=scenario.environment.clock)
+        middleware = _middleware(scenario, obs)
+        handle = middleware.submit(scenario.request, ranked=2, execute=False)
+        assert handle.alternatives()
+        (root,) = obs.spans
+        assert root.name == "runtime.request"
+        composes = [c for c in root.children if c.name == "compose"]
+        assert len(composes) == 1
+        assert [c.name for c in composes[0].children if c.name.startswith(
+            "qassa"
+        )] == ["qassa.select"]
+        assert root.find("qassa.select") == composes[0].find("qassa.select")
+
     def test_metrics_populated_by_a_run(self, scenario):
         obs = Observability(clock=scenario.environment.clock)
         middleware = _middleware(scenario, obs)

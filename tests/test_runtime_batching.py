@@ -20,7 +20,7 @@ from repro.errors import ReproError
 from repro.observability import Observability
 from repro.qos.properties import STANDARD_PROPERTIES
 from repro.runtime import MiddlewareRuntime
-from repro.runtime.batching import SingleFlight
+from repro.runtime.batching import MEMO_CAPACITY, SingleFlight
 from repro.runtime.process_worker import WorkerContext, WorkerState
 from repro.semantics.matching import MatchCache, MatchDegree
 from repro.semantics.ontology import Ontology
@@ -182,6 +182,19 @@ class TestRequestCoalescer:
         # The old generation is gone: same old key recomputes.
         assert memo.get((0, "k"), lambda: "recomputed") == "recomputed"
         assert memo.computed == 3
+
+    def test_one_generation_keeps_at_most_capacity_values(self):
+        memo = SingleFlight("computed_total", "coalesced_total")
+        for i in range(MEMO_CAPACITY + 1):
+            memo.get((0, i), lambda i=i: i)
+        assert memo.computed == MEMO_CAPACITY + 1
+        # The newest MEMO_CAPACITY keys are all still stored...
+        for i in range(1, MEMO_CAPACITY + 1):
+            assert memo.get((0, i), lambda: "recomputed") == i
+        assert memo.computed == MEMO_CAPACITY + 1
+        # ...and the oldest one was dropped, so it computes again.
+        assert memo.get((0, 0), lambda: "recomputed") == "recomputed"
+        assert memo.computed == MEMO_CAPACITY + 2
 
     def test_late_result_for_an_older_generation_keeps_the_live_entry(self):
         memo = SingleFlight("computed_total", "coalesced_total")
