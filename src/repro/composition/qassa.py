@@ -40,6 +40,8 @@ tree and checked against the global constraints:
 The search is capped (:data:`MAX_COMBINATIONS`); with utility-sorted levels
 the first feasible states found are near-optimal, which is exactly the
 trade-off Figs. VI.5-6 quantify (near-linear time, >90 % optimality).
+Neighbouring states' repairs and polishes try many of the same
+assignments, so one global phase aggregates each distinct assignment once.
 """
 
 from __future__ import annotations
@@ -221,33 +223,40 @@ class QASSA:
         """Local phase then :meth:`global_phase`, under one ``qassa.select``
         span; every returned plan shares the run's statistics."""
         started = time.perf_counter()
-        with self.obs.span(
-            "qassa.select", task=request.task.name,
-            activities=len(candidates.activity_names()),
-        ) as span:
-            stats = SelectionStatistics(search_space=candidates.search_space())
-            relevant = relevant_properties(self.properties, request)
-            weights = request.normalised_weights(relevant)
-            locals_ = self._local_selections(candidates, relevant, weights, stats)
-            plans = self.global_phase(
-                request, candidates, locals_, relevant, stats, k, best_effort
+        stats = SelectionStatistics(search_space=candidates.search_space())
+        try:
+            with self.obs.span(
+                "qassa.select", task=request.task.name,
+                activities=len(candidates.activity_names()),
+            ) as span:
+                relevant = relevant_properties(self.properties, request)
+                weights = request.normalised_weights(relevant)
+                locals_ = self._local_selections(
+                    candidates, relevant, weights, stats
+                )
+                plans = self.global_phase(
+                    request, candidates, locals_, relevant, stats, k,
+                    best_effort,
+                )
+                span.set(
+                    utility=plans[0].utility,
+                    feasible=plans[0].feasible,
+                    combinations_explored=stats.combinations_explored,
+                    utility_evaluations=stats.utility_evaluations,
+                )
+        finally:
+            # A selection that raises is counted too, with the states it
+            # explored before giving up.
+            stats.elapsed_seconds = time.perf_counter() - started
+            self.obs.counter("qassa_selections_total").inc()
+            self.obs.histogram("qassa_selection_seconds").observe(
+                stats.elapsed_seconds
             )
-            span.set(
-                utility=plans[0].utility,
-                feasible=plans[0].feasible,
-                combinations_explored=stats.combinations_explored,
-                utility_evaluations=stats.utility_evaluations,
+            self.obs.counter("qassa_combinations_explored_total").inc(
+                stats.combinations_explored
             )
-        stats.elapsed_seconds = time.perf_counter() - started
         for plan in plans:
             plan.statistics = stats
-        self.obs.counter("qassa_selections_total").inc()
-        self.obs.histogram("qassa_selection_seconds").observe(
-            stats.elapsed_seconds
-        )
-        self.obs.counter("qassa_combinations_explored_total").inc(
-            stats.combinations_explored
-        )
         return plans
 
     def global_phase(
@@ -268,14 +277,26 @@ class QASSA:
         feasible, ``best_effort`` returns the highest-utility infeasible
         plan alone; otherwise :class:`SelectionError` is raised.  The
         distributed coordinator calls it on the devices' local selections.
+
+        One :class:`_AssignmentScorer` serves the whole call: the walk,
+        repair and refine score many assignments more than once, and each
+        distinct one is aggregated once.  It is dropped when the call
+        returns.
         """
         with self.obs.span("qassa.global", k=k) as span:
+            names = candidates.activity_names()
+            score = _AssignmentScorer(
+                request, names, locals_, relevant,
+                self._build_global_normalizer(request.task, locals_, relevant),
+                self.approach, stats,
+            )
             plans, best_infeasible = self._lattice_walk(
-                request, candidates, locals_, relevant, stats, k
+                request, names, locals_, relevant, score, stats, k
             )
             span.set(
                 combinations_explored=stats.combinations_explored,
                 feasible_found=len(plans),
+                aggregations=score.aggregations,
             )
         if plans:
             plans.sort(key=lambda p: -p.utility)
@@ -290,9 +311,10 @@ class QASSA:
     def _lattice_walk(
         self,
         request: UserRequest,
-        candidates: CandidateSets,
+        names: Sequence[str],
         locals_: Mapping[str, LocalSelection],
         relevant: Mapping[str, QoSProperty],
+        score: _AssignmentScorer,
         stats: SelectionStatistics,
         k: int,
     ) -> Tuple[List[CompositionPlan], Optional[CompositionPlan]]:
@@ -300,9 +322,6 @@ class QASSA:
 
         Returns ``(feasible plans, best infeasible plan)``.
         """
-        task = request.task
-        names = candidates.activity_names()
-        global_norm = self._build_global_normalizer(task, locals_, relevant)
 
         def state_priority(state: Tuple[int, ...]) -> float:
             return sum(
@@ -320,28 +339,23 @@ class QASSA:
         while heap and stats.combinations_explored < MAX_COMBINATIONS:
             _, state = heapq.heappop(heap)
             stats.combinations_explored += 1
-            assignment = {
-                name: locals_[name].services[
-                    locals_[name].levels[rank].representative
-                ]
+            indexes = tuple(
+                locals_[name].levels[rank].representative
                 for name, rank in zip(names, state)
-            }
-            aggregated, utility, feasible = evaluate_assignment(
-                task, request, assignment, relevant, global_norm, self.approach
             )
-            stats.utility_evaluations += 1
+            aggregated, utility, feasible = score(indexes)
             if not feasible:
                 repaired = self._repair(
-                    request, names, state, locals_, relevant, global_norm, stats
+                    request, names, state, locals_, relevant, score
                 )
                 if repaired is not None:
-                    assignment, aggregated, utility = repaired
+                    indexes, aggregated, utility = repaired
                     feasible = True
             if feasible:
-                assignment, aggregated, utility = self._refine_utility(
-                    request, names, state, locals_, assignment, aggregated,
-                    utility, relevant, global_norm, stats,
+                indexes, aggregated, utility = self._refine_utility(
+                    names, locals_, indexes, aggregated, utility, score
                 )
+                assignment = score.assignment(indexes)
                 binding_key = tuple(
                     sorted((n, s.service_id) for n, s in assignment.items())
                 )
@@ -355,16 +369,11 @@ class QASSA:
                     )
                     if len(plans) >= k:
                         return plans, best_infeasible
-            else:
-                candidate_plan = self._make_plan_object(
-                    request, names, state, locals_, assignment, aggregated,
-                    utility, feasible=False,
+            elif best_infeasible is None or utility > best_infeasible.utility:
+                best_infeasible = self._make_plan_object(
+                    request, names, state, locals_, score.assignment(indexes),
+                    aggregated, utility, feasible=False,
                 )
-                if (
-                    best_infeasible is None
-                    or candidate_plan.utility > best_infeasible.utility
-                ):
-                    best_infeasible = candidate_plan
             for i in range(len(names)):
                 ranks = list(state)
                 if ranks[i] + 1 < len(locals_[names[i]].levels):
@@ -574,49 +583,37 @@ class QASSA:
     # ------------------------------------------------------------------
     def _refine_utility(
         self,
-        request: UserRequest,
         names: Sequence[str],
-        state: Tuple[int, ...],
         locals_: Mapping[str, LocalSelection],
-        assignment: Dict[str, ServiceDescription],
+        indexes: Tuple[int, ...],
         aggregated: QoSVector,
         utility: float,
-        relevant: Mapping[str, QoSProperty],
-        global_norm: Normalizer,
-        stats: SelectionStatistics,
-    ) -> Tuple[Dict[str, ServiceDescription], QoSVector, float]:
-        """Coordinate-ascent polish of a feasible state (one sweep).
+        score: _AssignmentScorer,
+    ) -> Tuple[Tuple[int, ...], QoSVector, float]:
+        """Coordinate-ascent polish of a feasible assignment (one sweep).
 
         Local SAW utility (which picked the level representatives) and
         *composition* utility (min-max over aggregated bounds) can disagree,
         especially on small candidate sets.  For each activity, the top
         :data:`REFINE_CANDIDATES` kept services (across all levels,
         best-local-utility first) are tried in place; a swap is kept when it
-        improves composition utility without breaking feasibility.  Cost is
-        O(n · REFINE_CANDIDATES) aggregations — negligible next to the
-        lattice search.
+        improves composition utility without breaking feasibility.  That is
+        up to n · REFINE_CANDIDATES scored assignments per feasible state,
+        most of a selection's work; neighbouring states' sweeps try many
+        of the same assignments, which ``score`` aggregates only once.
         """
-        task = request.task
-        best = (dict(assignment), aggregated, utility)
-        for name, rank in zip(names, state):
+        best = (indexes, aggregated, utility)
+        for pos, name in enumerate(names):
             sel = locals_[name]
             ordered = sorted(
                 range(len(sel.services)), key=lambda i: -sel.utilities[i]
             )[:REFINE_CANDIDATES]
             current_best = best[2]
             for idx in ordered:
-                candidate = sel.services[idx]
-                if candidate == best[0][name]:
+                if sel.services[idx] == sel.services[best[0][pos]]:
                     continue
-                trial = dict(best[0])
-                trial[name] = candidate
-                trial_aggregated, trial_utility, trial_feasible = (
-                    evaluate_assignment(
-                        task, request, trial, relevant, global_norm,
-                        self.approach,
-                    )
-                )
-                stats.utility_evaluations += 1
+                trial = best[0][:pos] + (idx,) + best[0][pos + 1:]
+                trial_aggregated, trial_utility, trial_feasible = score(trial)
                 if trial_feasible and trial_utility > current_best:
                     best = (trial, trial_aggregated, trial_utility)
                     current_best = trial_utility
@@ -629,38 +626,23 @@ class QASSA:
         state: Tuple[int, ...],
         locals_: Mapping[str, LocalSelection],
         relevant: Mapping[str, QoSProperty],
-        global_norm: Normalizer,
-        stats: SelectionStatistics,
-    ) -> Optional[Tuple[Dict[str, ServiceDescription], QoSVector, float]]:
+        score: _AssignmentScorer,
+    ) -> Optional[Tuple[Tuple[int, ...], QoSVector, float]]:
         """Try to make a level combination feasible by swapping members.
 
         Within the state's chosen clusters, repeatedly rebind the activity
         whose swap most improves the most-violated constraint.  Bounded by
         :data:`REPAIR_PASSES` full sweeps.
         """
-        task = request.task
-        member_lists: Dict[str, List[int]] = {
-            name: locals_[name].levels[rank].member_indexes
-            for name, rank in zip(names, state)
-        }
-        chosen: Dict[str, int] = {
-            name: locals_[name].levels[rank].representative
-            for name, rank in zip(names, state)
-        }
-
-        def current_assignment() -> Dict[str, ServiceDescription]:
-            return {
-                name: locals_[name].services[idx] for name, idx in chosen.items()
-            }
+        levels = [
+            locals_[name].levels[rank] for name, rank in zip(names, state)
+        ]
+        chosen = [level.representative for level in levels]
 
         for _ in range(REPAIR_PASSES):
-            assignment = current_assignment()
-            aggregated, utility, feasible = evaluate_assignment(
-                task, request, assignment, relevant, global_norm, self.approach
-            )
-            stats.utility_evaluations += 1
+            aggregated, utility, feasible = score(tuple(chosen))
             if feasible:
-                return assignment, aggregated, utility
+                return tuple(chosen), aggregated, utility
 
             violations = request.violations(aggregated)
             if not violations:
@@ -673,30 +655,26 @@ class QASSA:
             prop = relevant[prop_name]
 
             improved = False
-            for name in names:
+            for pos, name in enumerate(names):
                 sel = locals_[name]
-                current = sel.services[chosen[name]].advertised_qos.get(prop_name)
-                best_idx = chosen[name]
+                current = sel.services[chosen[pos]].advertised_qos.get(prop_name)
+                best_idx = chosen[pos]
                 best_value = current
-                for idx in member_lists[name]:
+                for idx in levels[pos].member_indexes:
                     value = sel.services[idx].advertised_qos.get(prop_name)
                     if value is None:
                         continue
                     if best_value is None or prop.better(value, best_value):
                         best_value, best_idx = value, idx
-                if best_idx != chosen[name]:
-                    chosen[name] = best_idx
+                if best_idx != chosen[pos]:
+                    chosen[pos] = best_idx
                     improved = True
             if not improved:
                 return None
 
-        assignment = current_assignment()
-        aggregated, utility, feasible = evaluate_assignment(
-            task, request, assignment, relevant, global_norm, self.approach
-        )
-        stats.utility_evaluations += 1
+        aggregated, utility, feasible = score(tuple(chosen))
         if feasible:
-            return assignment, aggregated, utility
+            return tuple(chosen), aggregated, utility
         return None
 
     # ------------------------------------------------------------------
@@ -753,3 +731,64 @@ class QASSA:
             feasible=feasible,
             approach=self.approach,
         )
+
+
+class _AssignmentScorer:
+    """Scores the assignments of one global phase, each distinct one once.
+
+    An assignment is an index tuple: one position per activity, in
+    ``names`` order, into that activity's :attr:`LocalSelection.services`.
+    The first call for a tuple runs
+    :func:`~repro.composition.selection.evaluate_assignment`; later calls
+    return the same ``(aggregated, utility, feasible)``.  Every call
+    counts in ``stats.utility_evaluations``; :attr:`aggregations` counts
+    the tuples actually aggregated.  The key is the index tuple, not the
+    services: services compare by id, and a republished service keeps its
+    id under a different QoS.  One instance lives for one
+    :meth:`QASSA.global_phase` call, so requests share nothing.
+    """
+
+    def __init__(
+        self,
+        request: UserRequest,
+        names: Sequence[str],
+        locals_: Mapping[str, LocalSelection],
+        relevant: Mapping[str, QoSProperty],
+        normalizer: Normalizer,
+        approach: AggregationApproach,
+        stats: SelectionStatistics,
+    ) -> None:
+        self.request = request
+        self.names = names
+        self.pools = [locals_[name].services for name in names]
+        self.relevant = relevant
+        self.normalizer = normalizer
+        self.approach = approach
+        self.stats = stats
+        self.scored: Dict[Tuple[int, ...], Tuple[QoSVector, float, bool]] = {}
+
+    def __call__(
+        self, indexes: Tuple[int, ...]
+    ) -> Tuple[QoSVector, float, bool]:
+        self.stats.utility_evaluations += 1
+        scored = self.scored.get(indexes)
+        if scored is None:
+            scored = self.scored[indexes] = evaluate_assignment(
+                self.request.task, self.request, self.assignment(indexes),
+                self.relevant, self.normalizer, self.approach,
+            )
+        return scored
+
+    def assignment(
+        self, indexes: Tuple[int, ...]
+    ) -> Dict[str, ServiceDescription]:
+        """The services an index tuple binds, in ``names`` order."""
+        return {
+            name: pool[index]
+            for name, pool, index in zip(self.names, self.pools, indexes)
+        }
+
+    @property
+    def aggregations(self) -> int:
+        """Distinct assignments aggregated so far."""
+        return len(self.scored)

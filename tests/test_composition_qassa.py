@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from repro.composition.qassa import QASSA, QassaConfig
 from repro.composition.request import GlobalConstraint, UserRequest
 from repro.composition.selection import CandidateSets
 from repro.composition.task import Task, leaf, parallel, sequence
+from repro.observability import Observability
 
 PROPS = {
     name: STANDARD_PROPERTIES[name]
@@ -123,6 +125,26 @@ class TestConstraints:
         )
         with pytest.raises(SelectionError):
             QASSA(PROPS).select(request, candidates)
+
+    def test_a_selection_that_raises_is_still_counted(self):
+        task, _, candidates = build_problem()
+        request = UserRequest(
+            task,
+            constraints=(GlobalConstraint.at_most("response_time", 0.001),),
+            weights={"response_time": 1.0},
+        )
+        obs = Observability()
+        with pytest.raises(SelectionError) as raised:
+            QASSA(PROPS, observability=obs).select(request, candidates)
+        explored = int(
+            re.search(r"explored (\d+) level", str(raised.value)).group(1)
+        )
+        assert explored > 0
+        assert obs.metrics.value("qassa_selections_total") == 1
+        assert obs.metrics.histogram("qassa_selection_seconds").count == 1
+        assert obs.metrics.value("qassa_combinations_explored_total") == (
+            explored
+        )
 
     def test_best_effort_returns_infeasible_plan(self):
         task, _, candidates = build_problem()

@@ -53,6 +53,14 @@ class TestTracedRun:
         assert {"compose", "discovery", "qassa.select", "qassa.cluster",
                 "qassa.global", "bind", "invoke", "execute"} <= names
 
+        # The global phase reports the distinct assignments it aggregated,
+        # never more than the assignments the selection scored.
+        select = root.find("qassa.select")[0]
+        (global_span,) = select.find("qassa.global")
+        assert 0 < global_span.attributes["aggregations"] <= (
+            select.attributes["utility_evaluations"]
+        )
+
         # One discovery span per activity, carrying the pool size.
         discoveries = root.find("discovery")
         assert len(discoveries) == scenario.task.size()
