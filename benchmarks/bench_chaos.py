@@ -44,6 +44,7 @@ from repro.api import (
     build_shopping_scenario,
     verify_runtime_invariants,
 )
+from repro.experiments.fuzzing import plan_signature
 from repro.experiments.harness import Sweep
 from repro.experiments.reporting import render_table
 
@@ -91,20 +92,6 @@ def build_world(seed=SEED):
         )
     requests = [profiles[i % PROFILES] for i in range(PROFILES * REPEATS)]
     return scenario, middleware, requests
-
-
-def plan_signature(plan):
-    """World-independent identity of a composed plan (names, not ids)."""
-    return (
-        tuple(
-            sorted(
-                (activity, selection.primary.name)
-                for activity, selection in plan.selections.items()
-            )
-        ),
-        round(plan.utility, 9),
-        plan.feasible,
-    )
 
 
 def chaos_schedule():

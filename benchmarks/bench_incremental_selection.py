@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 import time
 
+from repro.experiments.fuzzing import plan_signature
 from repro.experiments.harness import Sweep
 from repro.experiments.reporting import render_table
 from repro.qos.properties import STANDARD_PROPERTIES
@@ -71,19 +72,6 @@ def churn(pools, generator, step):
     pool = list(pools[name])
     pool[index] = replacement
     pools[name] = pool
-
-
-def plan_signature(plan):
-    return (
-        plan.service_ids(),
-        {
-            name: [s.service_id for s in sel.services]
-            for name, sel in plan.selections.items()
-        },
-        plan.utility,
-        {name: plan.aggregated_qos[name] for name in plan.aggregated_qos},
-        plan.feasible,
-    )
 
 
 def test_churn_reselection_speedup(benchmark, emit):

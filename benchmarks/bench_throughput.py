@@ -24,8 +24,9 @@ whole-composition request coalescing compose each distinct profile once
 per registry generation, and ordered commit keeps execution — and the
 environment's shared clock/RNG draws — in admission order.
 
-Determinism is compared across two identically-seeded worlds by *name*
-signatures (service ids come from a process-global counter, so ids differ
+Determinism is compared across two identically-seeded worlds by the
+exact signatures of :mod:`repro.experiments.fuzzing`, which key on service
+*names* (service ids come from a process-global counter, so ids differ
 across worlds while the seeded names do not).
 
 Both arms run ``TIMED_RUNS`` times, alternating, each time on fresh
@@ -65,6 +66,7 @@ from repro.api import (
     UserRequest,
     build_shopping_scenario,
 )
+from repro.experiments.fuzzing import plan_signature, report_signature
 from repro.experiments.harness import Sweep
 from repro.experiments.reporting import render_table
 
@@ -110,45 +112,6 @@ def build_world(seed=SEED):
         )
     requests = [profiles[i % PROFILES] for i in range(PROFILES * REPEATS)]
     return middleware, requests
-
-
-def plan_signature(plan):
-    """World-independent identity of a composed plan (names, not ids)."""
-    return (
-        tuple(
-            sorted(
-                (activity, selection.primary.name)
-                for activity, selection in plan.selections.items()
-            )
-        ),
-        round(plan.utility, 9),
-        plan.feasible,
-        tuple(
-            sorted(
-                (name, round(plan.aggregated_qos[name], 6))
-                for name in plan.aggregated_qos
-            )
-        ),
-    )
-
-
-def report_signature(report):
-    """World-independent identity of an execution report."""
-    def qos(vector):
-        if vector is None:
-            return None
-        return tuple(sorted((n, round(vector[n], 6)) for n in vector))
-
-    return tuple(
-        (
-            record.activity_name,
-            round(record.started_at, 9),
-            record.succeeded,
-            record.attempt,
-            qos(record.observed_qos),
-        )
-        for record in report.invocations
-    )
 
 
 class PooledRun(NamedTuple):

@@ -19,8 +19,8 @@ conditional branches become parallel paths (conditional edges are annotated
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import BehaviouralAdaptationError
 from repro.composition.task import (

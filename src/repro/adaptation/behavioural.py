@@ -22,10 +22,9 @@ for, in a compatible order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.errors import BehaviouralAdaptationError, CompositionError, SelectionError
-from repro.qos.properties import QoSProperty
+from repro.errors import BehaviouralAdaptationError, CompositionError
 from repro.adaptation.behaviour_graph import task_to_graph
 from repro.adaptation.homeomorphism import (
     HomeomorphismConfig,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.adaptation.behaviour_graph import BehaviouralGraph, Vertex
 from repro.semantics.matching import MatchCache, MatchDegree, match_concepts

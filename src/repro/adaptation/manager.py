@@ -15,7 +15,7 @@ and records every decision in an audit log the experiments read.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import (
@@ -23,11 +23,10 @@ from repro.errors import (
     BehaviouralAdaptationError,
     SubstitutionError,
 )
-from repro.qos.properties import Direction, QoSProperty
+from repro.qos.properties import QoSProperty
 from repro.services.description import ServiceDescription
 from repro.services.discovery import QoSConstraint
 from repro.composition.selection import CompositionPlan
-from repro.composition.task import Activity
 from repro.adaptation.behavioural import (
     BehaviouralAdaptation,
     BehaviouralAdaptationResult,

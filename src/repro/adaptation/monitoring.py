@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import AdaptationError
 from repro.observability import core as observability_core
-from repro.qos.properties import Direction, QoSProperty
+from repro.qos.properties import QoSProperty
 from repro.qos.values import QoSVector
 from repro.services.discovery import QoSConstraint
 

@@ -29,7 +29,7 @@ import xml.etree.ElementTree as ET
 from typing import Optional, Union
 
 from repro.errors import BpelParseError
-from repro.adaptation.task_class import TaskClass, TaskClassRepository
+from repro.adaptation.task_class import TaskClassRepository
 from repro.execution.bpel import parse_bpel, to_bpel
 from repro.semantics.ontology import Ontology
 

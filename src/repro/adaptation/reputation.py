@@ -19,10 +19,9 @@ provider and one good one from canonising it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from repro.qos.properties import QoSProperty, REPUTATION
 from repro.services.registry import ServiceRegistry
 from repro.execution.engine import ExecutionReport
 

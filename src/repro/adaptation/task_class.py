@@ -16,7 +16,7 @@ relatedness on demand (the repository may also verify closure eagerly via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import BehaviouralAdaptationError

@@ -202,9 +202,9 @@ def _export_observability(args: argparse.Namespace, obs, out,
         print("\nwindowed timeline "
               f"({windows.ingested} spans ingested):", file=out)
         print(observability.render_window_table(windows), file=out)
-        # End-to-end latency lives in the runtime's per-request spans
-        # when brokered (--serve); the serial path has no request spans,
-        # so fall back to the execution stage.
+        # End-to-end latency lives in the request spans every scenario
+        # run records (serial or --serve); an experiment that drives
+        # selectors directly has none, so fall back to execution.
         stage = ("request" if len(windows.stage("request")) else "execution")
         verdicts = args.slo.evaluate(
             windows.stage(stage).series(), windows.availability(),

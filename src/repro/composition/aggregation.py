@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Dict, List, Mapping, Sequence as Seq
+from typing import Dict, Mapping, Sequence as Seq
 
 from repro.errors import AggregationError
 from repro.qos.properties import AggregationKind, QoSProperty

@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SelectionError
@@ -152,6 +151,7 @@ class ExhaustiveSelection(_BaseSelector):
                 f"limit {self.limit}"
             )
         relevant = relevant_properties(self.properties, request)
+        weights = request.normalised_weights(relevant)
         normalizer = make_global_normalizer(
             request.task, candidates, relevant, self.approach
         )
@@ -163,7 +163,7 @@ class ExhaustiveSelection(_BaseSelector):
             assignment = dict(zip(names, combo))
             aggregated, utility, feasible = evaluate_assignment(
                 request.task, request, assignment, relevant, normalizer,
-                self.approach,
+                self.approach, weights,
             )
             stats.combinations_explored += 1
             stats.utility_evaluations += 1
@@ -229,7 +229,8 @@ class GreedySelection(_BaseSelector):
             assignment[name] = max(scored, key=lambda pair: pair[0])[1]
 
         aggregated, utility, feasible = evaluate_assignment(
-            request.task, request, assignment, relevant, normalizer, self.approach
+            request.task, request, assignment, relevant, normalizer,
+            self.approach, weights,
         )
         stats.utility_evaluations += 1
         stats.combinations_explored = 1
@@ -271,6 +272,7 @@ class RandomSelection(_BaseSelector):
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
         relevant = relevant_properties(self.properties, request)
+        weights = request.normalised_weights(relevant)
         normalizer = make_global_normalizer(
             request.task, candidates, relevant, self.approach
         )
@@ -283,7 +285,7 @@ class RandomSelection(_BaseSelector):
             assignment = {name: rng.choice(candidates[name]) for name in names}
             aggregated, utility, feasible = evaluate_assignment(
                 request.task, request, assignment, relevant, normalizer,
-                self.approach,
+                self.approach, weights,
             )
             stats.combinations_explored += 1
             stats.utility_evaluations += 1
@@ -349,6 +351,7 @@ class GeneticSelection(_BaseSelector):
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
         relevant = relevant_properties(self.properties, request)
+        weights = request.normalised_weights(relevant)
         normalizer = make_global_normalizer(
             request.task, candidates, relevant, self.approach
         )
@@ -379,7 +382,7 @@ class GeneticSelection(_BaseSelector):
             assignment = decode(chromosome)
             aggregated, utility, feasible = evaluate_assignment(
                 request.task, request, assignment, relevant, normalizer,
-                self.approach,
+                self.approach, weights,
             )
             stats.utility_evaluations += 1
             fitness = utility - self.penalty_weight * penalty(aggregated)

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
-from repro.services.description import ServiceDescription
 from repro.composition.aggregation import AggregationApproach
 from repro.composition.qassa import FEASIBLE_BEAM, QASSA, QassaConfig
 from repro.composition.request import UserRequest

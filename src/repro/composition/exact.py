@@ -496,7 +496,7 @@ class _Search:
                 assignment = dict(fixed_services)
                 aggregated, utility, feasible = evaluate_assignment(
                     self.task, self.request, assignment, self.relevant,
-                    self.normalizer, self.approach,
+                    self.normalizer, self.approach, self.weights,
                 )
                 self.stats.combinations_explored += 1
                 self.stats.utility_evaluations += 1

@@ -108,7 +108,7 @@ class LocalSelection:
     primaries, but still valid substitutes when the non-dominated pool is
     too small to fill the alternates quota.
 
-    ``services``, ``points``, ``normalizer``, ``clustering_iterations`` and
+    ``services``, ``normalizer``, ``clustering_iterations`` and
     ``extremes`` come from the weight-free stage (shared by every request
     over the same pool and properties); ``utilities``, ``levels`` and the
     ``reserve`` order come from the request's weights.  Every instance has
@@ -117,7 +117,6 @@ class LocalSelection:
 
     activity_name: str
     services: List[ServiceDescription]
-    points: List[Dict[str, float]]
     utilities: List[float]
     levels: List[QoSLevel]
     normalizer: Normalizer
@@ -538,7 +537,6 @@ class QASSA:
         return LocalSelection(
             activity_name=activity_name,
             services=[service for service, _ in kept],
-            points=[dict(point) for _, point in kept],
             utilities=utilities,
             levels=rank_levels(clustering.clusters, utilities, weights),
             normalizer=normalizer,
@@ -764,6 +762,7 @@ class _AssignmentScorer:
         self.relevant = relevant
         self.normalizer = normalizer
         self.approach = approach
+        self.weights = request.normalised_weights(relevant)
         self.stats = stats
         self.scored: Dict[Tuple[int, ...], Tuple[QoSVector, float, bool]] = {}
 
@@ -775,7 +774,7 @@ class _AssignmentScorer:
         if scored is None:
             scored = self.scored[indexes] = evaluate_assignment(
                 self.request.task, self.request, self.assignment(indexes),
-                self.relevant, self.normalizer, self.approach,
+                self.relevant, self.normalizer, self.approach, self.weights,
             )
         return scored
 

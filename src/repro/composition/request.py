@@ -12,9 +12,9 @@ The user request ``R = (T, U, W)`` bundles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.errors import QoSModelError, SelectionError
+from repro.errors import QoSModelError
 from repro.qos.properties import Direction, QoSProperty
 from repro.qos.values import QoSVector
 from repro.services.discovery import QoSConstraint

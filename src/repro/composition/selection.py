@@ -10,7 +10,6 @@ its utility, and run statistics.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -302,14 +301,15 @@ def evaluate_assignment(
     properties: Mapping[str, QoSProperty],
     normalizer: Normalizer,
     approach: AggregationApproach,
+    weights: Mapping[str, float],
 ) -> Tuple[QoSVector, float, bool]:
-    """Aggregate + score one full activity->service assignment."""
+    """Aggregate + score one full activity->service assignment under
+    ``weights`` (``request.normalised_weights(properties)``)."""
     aggregated = aggregate_composition(
         task,
         {name: service.advertised_qos for name, service in assignment.items()},
         dict(properties),
         approach,
     )
-    weights = request.normalised_weights(properties)
     utility = composition_utility(aggregated, normalizer, weights)
     return aggregated, utility, request.satisfied_by(aggregated)

@@ -18,7 +18,7 @@ transformation consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence as Seq, Tuple
 
 from repro.errors import InvalidTaskError

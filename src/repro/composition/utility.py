@@ -20,7 +20,7 @@ Two normaliser scopes exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.errors import QoSModelError
 from repro.qos.properties import Direction, QoSProperty

@@ -14,8 +14,8 @@ motivation).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.errors import EnvironmentError_
 from repro.observability import core as observability_core

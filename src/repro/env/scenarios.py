@@ -12,7 +12,7 @@ These are what the example applications and the integration tests run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.semantics.ontology import Ontology
 from repro.qos.properties import STANDARD_PROPERTIES, QoSProperty
@@ -26,7 +26,7 @@ from repro.composition.task import (
     parallel,
     sequence,
 )
-from repro.adaptation.task_class import TaskClass, TaskClassRepository
+from repro.adaptation.task_class import TaskClassRepository
 from repro.env.device import DeviceClass
 from repro.env.environment import EnvironmentConfig, PervasiveEnvironment
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional
 
 from repro.errors import BindingError, ExecutionError
 from repro.qos.properties import QoSProperty
@@ -46,7 +46,6 @@ from repro.composition.task import (
     Node,
     Parallel,
     Sequence,
-    Task,
 )
 from repro.execution.binding import DynamicBinder
 from repro.execution.clock import SimulatedClock

@@ -14,9 +14,8 @@ minutes; pass larger parameters to push towards the paper's exact ranges
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.qos.properties import STANDARD_PROPERTIES
 from repro.services.generator import QoSDistribution, ServiceGenerator
 from repro.composition.aggregation import AggregationApproach
 from repro.composition.baselines import (
@@ -25,8 +24,7 @@ from repro.composition.baselines import (
     GreedySelection,
 )
 from repro.composition.distributed import DistributedQASSA, round_robin_nodes
-from repro.composition.qassa import QASSA, QassaConfig
-from repro.composition.selection import CandidateSets
+from repro.composition.qassa import QASSA
 from repro.adaptation.behaviour_graph import task_to_graph
 from repro.adaptation.homeomorphism import find_homeomorphism
 from repro.execution.bpel import parse_bpel, to_bpel

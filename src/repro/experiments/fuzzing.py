@@ -19,13 +19,16 @@ outcome against the oracle:
 Every divergence is reported with its generating seed, so a failure
 reproduces with one :func:`generate_instance` call and becomes a pinned
 regression test (see ``tests/test_selection_differential.py``).
+
+:func:`plan_signature` and :func:`report_signature` are the one exact
+identity every "byte-identical" check compares.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
@@ -44,6 +47,7 @@ from repro.composition.selection import (
     CompositionPlan,
     evaluate_assignment,
     make_global_normalizer,
+    relevant_properties,
 )
 from repro.composition.task import (
     Leaf,
@@ -203,12 +207,35 @@ def _run(selector, instance: FuzzInstance, **kwargs):
         return None, exc
 
 
-def _plans_identical(a: CompositionPlan, b: CompositionPlan) -> bool:
+def _qos_signature(vector) -> Optional[tuple]:
+    """``(name, repr(value))`` per property of a QoS vector, or None."""
+    if vector is None:
+        return None
+    return tuple((name, repr(v)) for name, v in sorted(vector.items()))
+
+
+def plan_signature(plan: CompositionPlan) -> tuple:
+    """The exact identity of a plan, equal across identically seeded
+    worlds: services by name (ids come from a process-wide counter),
+    every activity's full ranked list (alternates drive substitution),
+    ``repr`` of the utility and of each aggregated QoS value, feasibility.
+    """
     return (
-        a.service_ids() == b.service_ids()
-        and a.utility == b.utility
-        and a.feasible == b.feasible
-        and a.aggregated_qos == b.aggregated_qos
+        tuple((name, tuple(s.name for s in selection.services))
+              for name, selection in sorted(plan.selections.items())),
+        repr(plan.utility), plan.feasible,
+        _qos_signature(plan.aggregated_qos),
+    )
+
+
+def report_signature(report) -> tuple:
+    """The exact identity of an execution report, equal across identically
+    seeded worlds: per invocation, its activity, ``repr`` of its start,
+    outcome, attempt and ``repr`` of each observed QoS value."""
+    return tuple(
+        (r.activity_name, repr(r.started_at), r.succeeded, r.attempt,
+         _qos_signature(r.observed_qos))
+        for r in report.invocations
     )
 
 
@@ -217,18 +244,14 @@ def _check_consistency(
     divergences: List[str],
 ) -> None:
     """A plan must agree with a from-scratch re-evaluation of its binding."""
-    properties = {
-        name: instance.properties[name]
-        for name in (
-            instance.request.relevant_properties or tuple(instance.properties)
-        )
-    }
+    properties = relevant_properties(instance.properties, instance.request)
     normalizer = make_global_normalizer(
         instance.task, instance.candidates, properties, instance.approach
     )
     aggregated, utility, feasible = evaluate_assignment(
         instance.task, instance.request, plan.binding(), properties,
         normalizer, instance.approach,
+        instance.request.normalised_weights(properties),
     )
     if plan.feasible != feasible:
         divergences.append(
@@ -272,7 +295,9 @@ def check_instance(
         _check_consistency("oracle", oracle_plan, instance, div)
         # Determinism / replay stability.
         rerun_plan, _ = _run(ExactSelection(props, approach), instance)
-        if rerun_plan is None or not _plans_identical(oracle_plan, rerun_plan):
+        if rerun_plan is None or (
+            plan_signature(rerun_plan) != plan_signature(oracle_plan)
+        ):
             div.append("oracle: two runs over the same instance diverge")
 
     # Exact-vs-enumeration agreement wherever enumeration is tractable,
@@ -286,7 +311,9 @@ def check_instance(
                 f"exhaustive={'plan' if ex_plan else ex_err} "
                 f"oracle={'plan' if oracle_plan else oracle_err}"
             )
-        elif ex_plan is not None and not _plans_identical(ex_plan, oracle_plan):
+        elif ex_plan is not None and (
+            plan_signature(ex_plan) != plan_signature(oracle_plan)
+        ):
             div.append(
                 f"oracle plan differs from exhaustive optimum: "
                 f"{oracle_plan.service_ids()} u={oracle_plan.utility!r} vs "
@@ -297,7 +324,9 @@ def check_instance(
                         best_effort=True)
         if (ex_be is None) != (bb_be is None):
             div.append("best-effort availability disagrees with exhaustive")
-        elif ex_be is not None and not _plans_identical(ex_be, bb_be):
+        elif ex_be is not None and (
+            plan_signature(ex_be) != plan_signature(bb_be)
+        ):
             div.append(
                 f"best-effort plan differs from exhaustive: "
                 f"{bb_be.service_ids()} u={bb_be.utility!r} vs "

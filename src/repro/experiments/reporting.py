@@ -8,7 +8,7 @@ them verbatim).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.harness import Sweep, Timing
 

@@ -15,12 +15,11 @@ whose bounds sit at a controlled *tightness*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.qos.properties import Direction, QoSProperty, STANDARD_PROPERTIES
 from repro.services.generator import (
-    NormalLaw,
     QoSDistribution,
     ServiceGenerator,
 )

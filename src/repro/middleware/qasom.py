@@ -12,8 +12,9 @@ the paper's architecture:
 
 The public surface is deliberately small and mirrors the concurrent
 runtime's: :meth:`submit` (request → :class:`~repro.runtime.handle.RunHandle`,
-processed inline) and :meth:`run` (request → :class:`RunResult`).  Code
-written against it moves to the pooled
+processed inline) and :meth:`run` (``submit(...).result()``); both compose
+through the runtime workers' :func:`repro.runtime.process_worker.compose`.
+Code written against it moves to the pooled
 :class:`~repro.runtime.runtime.MiddlewareRuntime` without changes.  The
 "Public API & migration" section of ``docs/ARCHITECTURE.md`` maps the
 removed pre-redesign entrypoints onto this surface.
@@ -22,9 +23,8 @@ removed pre-redesign entrypoints onto this surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
-from repro.errors import DiscoveryError, NoCandidateError
 from repro.qos.model import QoSModel, build_end_to_end_model
 from repro.qos.properties import QoSProperty
 from repro.semantics.ontology import Ontology
@@ -49,6 +49,7 @@ from repro.qos.sla import ComplianceTracker, derive_slas
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.degradation import PartialExecutionReport
 from repro.runtime.handle import RunHandle, RunSpec
+from repro.runtime.process_worker import compose, discover_candidates
 from repro.env.environment import PervasiveEnvironment
 
 
@@ -61,7 +62,8 @@ class RunResult:
     report: ExecutionReport
     adaptations: List[AdaptationOutcome] = field(default_factory=list)
     compliance: Optional["ComplianceTracker"] = None
-    #: Root span of the run when observability is enabled (None otherwise).
+    #: The request's ``runtime.request`` span when observability is
+    #: enabled (None otherwise); the root of its tree on every path.
     trace: Optional[Span] = None
     #: Degradation summary when the run completed with skipped optional
     #: activities (None for full completions and hard failures).
@@ -201,56 +203,20 @@ class QASOM:
     # composition framework
     # ------------------------------------------------------------------
     def candidates_for(self, task: Task) -> CandidateSets:
-        """QoS-aware semantic discovery for every activity of a task.
+        """QoS-aware semantic discovery for every activity of a task (with
+        ``config.infrastructure_aware``, at estimated effective QoS)."""
+        return discover_candidates(
+            task, self._pool, self.observability, self.estimator
+        )
 
-        With ``config.infrastructure_aware`` the returned candidates
-        advertise their *estimated effective* QoS (advertisement corrected
-        by the hosting device and link state) instead of the raw claims.
-        """
-        pools: Dict[str, List[ServiceDescription]] = {}
-        for activity in task.activities:
-            query = DiscoveryQuery(
-                capability=activity.capability,
+    def _pool(self, capability: str) -> List[ServiceDescription]:
+        """A live discovery round (``self.discovery`` read per call)."""
+        return self.discovery.candidates(
+            DiscoveryQuery(
+                capability=capability,
                 minimum_degree=self.config.discovery_minimum_degree,
             )
-            with self.observability.span(
-                "discovery", activity=activity.name,
-                capability=activity.capability,
-            ) as span:
-                services = self.discovery.candidates(query)
-                if self.estimator is not None:
-                    services = [
-                        self.estimator.estimated_service(s) for s in services
-                    ]
-                span.set(pool_size=len(services))
-            if not services:
-                raise NoCandidateError(activity.name)
-            pools[activity.name] = services
-        return CandidateSets(task, pools)
-
-    def _compose(
-        self, request: UserRequest, ranked: int = 0, best_effort: bool = False
-    ) -> List[CompositionPlan]:
-        """Discover + select: the request's plan, or with ``ranked`` up to
-        that many distinct feasible compositions, best QoS first (§I.1:
-        the platform proposes ranked alternatives and the user picks)."""
-        with self.observability.span(
-            "compose", task=request.task.name,
-            activities=request.task.size(),
-        ) as span:
-            candidates = self.candidates_for(request.task)
-            if ranked:
-                plans = self.selector.select_ranked(
-                    request, candidates, k=ranked
-                )
-            else:
-                plans = [
-                    self.selector.select(
-                        request, candidates, best_effort=best_effort
-                    )
-                ]
-            span.set(utility=plans[0].utility, feasible=plans[0].feasible)
-        return plans
+        )
 
     # ------------------------------------------------------------------
     # adaptation framework
@@ -259,12 +225,8 @@ class QASOM:
         """A fresh discovery round for one abstract activity (substitution
         fallback).  Takes the Activity itself so it stays correct when
         behavioural adaptation swaps the managed plan's task."""
-        query = DiscoveryQuery(
-            capability=activity.capability,
-            minimum_degree=self.config.discovery_minimum_degree,
-        )
         return [
-            s for s in self.discovery.candidates(query)
+            s for s in self._pool(activity.capability)
             if self.environment.is_alive(s)
         ]
 
@@ -304,7 +266,7 @@ class QASOM:
         """
         with self.observability.span(
             "execute", task=plan.task.name, adapt=adapt,
-        ) as execute_span:
+        ) as span:
             manager = self.adaptation_manager(plan) if adapt else None
             tracker = (
                 ComplianceTracker(derive_slas(plan, self.properties))
@@ -342,15 +304,14 @@ class QASOM:
                 partial = PartialExecutionReport.from_run(
                     plan, report, self.config.resilience.degradation
                 )
-            execute_span.set(
+            span.set(
                 succeeded=report.succeeded,
                 invocations=len(report.invocations),
                 adaptations=len(adaptations),
                 degraded=report.degraded,
             )
-        trace = execute_span if self.observability.enabled else None
         return RunResult(plan=plan, report=report, adaptations=adaptations,
-                         compliance=tracker, trace=trace, partial=partial)
+                         compliance=tracker, partial=partial)
 
     # ------------------------------------------------------------------
     # stable public surface (mirrors MiddlewareRuntime)
@@ -392,39 +353,34 @@ class QASOM:
             TraceContext.mint() if self.observability.enabled else None
         )
         handle.trace_context = context
-
-        def finish(result=None, plans=None):
-            handle.finished_sim = self.environment.clock.now()
-            handle._complete(result, plans)
-            return handle
-
-        task_name = (
-            spec.request.task.name if spec.request is not None
-            else spec.plan.task.name
-        )
+        task = spec.plan.task if spec.request is None else spec.request.task
+        result = None
         # Mirror the pooled runtime's span shape: one ``runtime.request``
         # root per submission, every descendant carrying the minted trace
         # id — so serial and pooled runs assemble into identical
         # one-tree-per-request traces.
         with self.observability.adopt(context):
             with self.observability.span(
-                "runtime.request", task=task_name, execute=spec.execute,
+                "runtime.request", task=task.name, execute=spec.execute,
                 inline=True,
             ) as request_span:
                 if spec.plan is not None:
                     plans = [spec.plan]
                 else:
-                    plans = self._compose(
-                        spec.request, spec.ranked, spec.best_effort
+                    plans = compose(
+                        self.selector, spec, self._pool,
+                        self.observability, self.estimator,
                     )
-                if not spec.execute:
-                    request_span.set(status="done")
-                    return finish(plans=plans)
-                result = self._execute_plan(
-                    plans[0], adapt=spec.adapt, track_sla=spec.track_sla
-                )
+                if spec.execute:
+                    result = self._execute_plan(
+                        plans[0], adapt=spec.adapt, track_sla=spec.track_sla
+                    )
+                    if self.observability.enabled:
+                        result.trace = request_span
                 request_span.set(status="done")
-        return finish(result=result)
+        handle.finished_sim = self.environment.clock.now()
+        handle._complete(result, plans)
+        return handle
 
     def run(
         self,
@@ -434,18 +390,8 @@ class QASOM:
         best_effort: bool = False,
         track_sla: bool = False,
     ) -> RunResult:
-        """compose + execute in one step."""
-        context = (
-            TraceContext.mint() if self.observability.enabled else None
-        )
-        with self.observability.adopt(context):
-            with self.observability.span(
-                "run", task=request.task.name
-            ) as run_span:
-                plan = self._compose(request, best_effort=best_effort)[0]
-                result = self._execute_plan(
-                    plan, adapt=adapt, track_sla=track_sla
-                )
-        if self.observability.enabled:
-            result.trace = run_span
-        return result
+        """compose + execute in one step: ``submit(...).result()``."""
+        return self.submit(
+            request, adapt=adapt, best_effort=best_effort,
+            track_sla=track_sla,
+        ).result()

@@ -30,7 +30,6 @@ from repro.observability.spans import (
     NULL_SPAN,
     NULL_TRACER,
     NullTracer,
-    Span,
     Tracer,
 )
 

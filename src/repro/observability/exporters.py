@@ -21,7 +21,7 @@ import json
 import os
 import statistics
 import tempfile
-from typing import Any, Callable, Dict, IO, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, IO, Iterable, List, Mapping, Sequence
 
 from repro.observability.spans import Span
 

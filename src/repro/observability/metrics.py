@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Default histogram buckets, in seconds — spans from sub-millisecond
 #: selection steps to multi-second simulated executions.

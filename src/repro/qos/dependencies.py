@@ -24,7 +24,7 @@ run-time adaptation triggers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription

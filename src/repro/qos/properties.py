@@ -18,7 +18,7 @@ throughput, reputation, security level and energy consumption.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import QoSModelError

@@ -18,10 +18,9 @@ This module provides that layer for QASOM:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import QoSModelError
 from repro.qos.properties import QoSProperty
 from repro.services.discovery import QoSConstraint
 from repro.composition.request import decompose_constraint

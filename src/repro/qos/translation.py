@@ -24,7 +24,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QoSModelError
 from repro.qos.model import QoSModel
-from repro.qos.properties import Direction
 from repro.qos.units import Unit, convert
 from repro.semantics.matching import MatchDegree
 from repro.composition.request import GlobalConstraint, UserRequest

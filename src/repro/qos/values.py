@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from repro.errors import QoSModelError, UnitError
+from repro.errors import QoSModelError
 from repro.qos.properties import QoSProperty
 from repro.qos.units import Unit, convert
 

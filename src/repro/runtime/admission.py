@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Tuple
 
 from repro.observability import NULL_OBSERVABILITY
 from repro.observability.events import ADMISSION_DEPTH, NULL_RECORDER

@@ -8,7 +8,8 @@ composition needs), ships a pickled
 generation, and then sends one ``("compose", RunSpec)`` message per
 request.  The child composes with the same :class:`WorkerState` a
 thread-backend worker uses — memoised discovery against the snapshot, a
-private QASSA selector — and returns the finished
+private QASSA selector, and :func:`compose`, which serial submits share —
+and returns the finished
 :class:`~repro.composition.selection.CompositionPlan` list, which the
 parent rehydrates onto its own service objects (see
 :meth:`repro.runtime.backends.ProcessBackend._rehydrate`).
@@ -36,6 +37,7 @@ Messages (all tuples, first element is the kind):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -73,16 +75,63 @@ class WorkerContext:
     ontology: Optional[Ontology]
 
 
+def discover_candidates(task, pool, observability, estimator) -> CandidateSets:
+    """Each activity's pool from ``pool(capability)``, under its own
+    ``discovery`` span; with an ``estimator`` the services advertise their
+    estimated effective QoS.  An empty pool raises NoCandidateError."""
+    pools: Dict[str, list] = {}
+    for activity in task.activities:
+        with observability.span(
+            "discovery", activity=activity.name,
+            capability=activity.capability,
+        ) as span:
+            services = pool(activity.capability)
+            if estimator is not None:
+                services = [estimator.estimated_service(s) for s in services]
+            span.set(pool_size=len(services))
+            if not services:
+                raise NoCandidateError(activity.name)
+        pools[activity.name] = services
+    return CandidateSets(task, pools)
+
+
+def compose(
+    selector, spec, pool, observability, estimator
+) -> List[CompositionPlan]:
+    """Discover + select under one ``compose`` span, as the ``RunSpec``
+    asks: one plan, or up to ``spec.ranked`` feasible ones, best first.
+
+    Serial submits, thread workers and worker processes all compose here
+    and differ only in ``pool``.  ``selector.select`` is looked up on
+    every call, so a wrapper installed on a live selector sees them all.
+    """
+    request = spec.request
+    with observability.span(
+        "compose", task=request.task.name, activities=request.task.size(),
+    ) as span:
+        candidates = discover_candidates(
+            request.task, pool, observability, estimator
+        )
+        if spec.ranked:
+            plans = selector.select_ranked(request, candidates, k=spec.ranked)
+        else:
+            plans = [selector.select(
+                request, candidates, best_effort=spec.best_effort
+            )]
+        span.set(utility=plans[0].utility, feasible=plans[0].feasible)
+    return plans
+
+
 class WorkerState:
     """One worker's composition machinery: memoised discovery plus a
-    private QASSA — the runtime's only discovery + selection path.
+    private QASSA, composing through :func:`compose`.
 
     ``pools`` is the :class:`~repro.runtime.batching.SingleFlight` memo of
     discovery pools, keyed ``(generation, capability, degree)``; a miss
     grades concepts through ``match_cache``, so cold lookups for
     different capabilities reuse each other's gradings.  A worker process
     builds one from its :class:`WorkerContext` alone (its own memo and
-    match cache, no observability: its ``compose`` span is a no-op); the
+    match cache, no observability: its spans are no-ops); the
     thread backend passes the runtime's shared memo, the middleware's
     match cache, observability and the cross-layer estimator.
     """
@@ -114,37 +163,11 @@ class WorkerState:
         )
 
     def compose(self, spec, snapshot) -> List[CompositionPlan]:
-        """Discover every activity's pool on ``snapshot``, then select
-        as the :class:`~repro.runtime.handle.RunSpec` ``spec`` asks."""
-        request = spec.request
-        pools: Dict[str, list] = {}
-        with self.obs.span(
-            "compose", task=request.task.name,
-            activities=request.task.size(), generation=snapshot.generation,
-        ) as span:
-            for activity in request.task.activities:
-                services = self.candidates(snapshot, activity.capability)
-                if self.estimator is not None:
-                    services = [
-                        self.estimator.estimated_service(s)
-                        for s in services
-                    ]
-                if not services:
-                    raise NoCandidateError(activity.name)
-                pools[activity.name] = services
-            candidates = CandidateSets(request.task, pools)
-            if spec.ranked:
-                plans = self.selector.select_ranked(
-                    request, candidates, k=spec.ranked
-                )
-            else:
-                plans = [
-                    self.selector.select(
-                        request, candidates, best_effort=spec.best_effort
-                    )
-                ]
-            span.set(utility=plans[0].utility, feasible=plans[0].feasible)
-        return plans
+        """Compose ``spec`` on ``snapshot``'s memoised discovery pools."""
+        return compose(
+            self.selector, spec, functools.partial(self.candidates, snapshot),
+            self.obs, self.estimator,
+        )
 
     def candidates(self, snapshot, capability: str) -> list:
         """The discovery pool for ``capability`` on ``snapshot``.

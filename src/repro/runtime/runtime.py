@@ -677,6 +677,8 @@ class MiddlewareRuntime:
                 elif not self._expire_if_due(handle, "pre-commit"):
                     result = self._commit(handle, plans[0])
                     if result is not None:  # None: expired at its turn
+                        if self.observability.enabled:
+                            result.trace = span
                         self._finish(handle, RequestStatus.DONE, result=result)
             except (InjectedSnapshotFailure, WorkerProcessCrash):
                 # Transient fault (injected chaos, or a worker process

@@ -24,7 +24,6 @@ from typing import List, Union
 
 from repro.errors import OntologyError
 from repro.semantics.ontology import Ontology
-from repro.semantics.triples import Triple
 
 
 def _format_term(term: str) -> str:

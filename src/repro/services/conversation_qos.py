@@ -20,12 +20,12 @@ per-operation values must be folded over the conversation's flow DAG:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Set
 
 from repro.errors import ServiceDescriptionError
 from repro.qos.properties import AggregationKind, QoSProperty
 from repro.qos.values import QoSVector
-from repro.services.description import Conversation, Operation, ServiceDescription
+from repro.services.description import Conversation, ServiceDescription
 
 
 def _critical_path(conversation: Conversation, values: Mapping[str, float]) -> float:

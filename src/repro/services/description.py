@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.errors import ServiceDescriptionError
 from repro.qos.values import QoSVector

@@ -18,8 +18,8 @@ truncate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.errors import DiscoveryError
 from repro.observability import core as observability_core

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.qos.properties import QoSProperty, STANDARD_PROPERTIES
 from repro.qos.values import QoSVector

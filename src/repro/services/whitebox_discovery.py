@@ -13,8 +13,8 @@ provider-side operations allowed, order preserved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 from repro.adaptation.behaviour_graph import BehaviouralGraph, Vertex, task_to_graph
 from repro.adaptation.homeomorphism import (

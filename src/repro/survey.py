@@ -11,8 +11,8 @@ design space the chapter defines.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 Documentation on every public item is deliverable (e); these tests make the
 guarantee executable: every module, public class and public function under
-``repro`` carries a docstring, ``__all__`` exports resolve, and the
-exception hierarchy is rooted at ReproError.
+``repro`` carries a docstring, ``__all__`` exports resolve, the exception
+hierarchy is rooted at ReproError, and no module imports a name it never
+uses.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -272,3 +275,91 @@ class TestDeprecatedShims:
             handle = middleware.submit(request, execute=False)
             assert handle.plan() is not None
         assert result.plan is not None
+
+
+def _annotation_names(node) -> set:
+    """Names ``node`` uses, including those in string forward references."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass  # a plain string, not a forward reference
+    return names
+
+
+def _unused_imports(source: str) -> list:
+    """``(line, name)`` of every name ``source`` imports but never uses.
+
+    A name counts as used when it is read anywhere, appears in an
+    annotation (quoted forward references included) or is listed in
+    ``__all__``.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in node.targets
+        ):
+            used |= {
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in used
+    )
+
+
+class TestNoUnusedImports:
+    """Package ``__init__`` modules re-export by importing; every other
+    module imports only what it uses."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("import os\n", [(1, "os")]),
+            ("from typing import Dict, List\nx: List[int] = []\n",
+             [(1, "Dict")]),
+            ("from a import B\ndef f() -> 'B': ...\n", []),
+            ("from typing import Optional\nfrom a import B\n"
+             "def f(x: Optional['B']): ...\n", []),
+            ("from a import B\n__all__ = ['B']\n", []),
+            ("import os.path\nos.path.join('a')\n", []),
+        ],
+    )
+    def test_scanner(self, source, expected):
+        assert _unused_imports(source) == expected
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        root = pathlib.Path(repro.__file__).parent
+        unused = [
+            f"{path.relative_to(root.parent)}:{line}: {name}"
+            for path in sorted(root.rglob("*.py"))
+            if path.name != "__init__.py"
+            for line, name in _unused_imports(path.read_text())
+        ]
+        assert unused == [], "unused imports:\n" + "\n".join(unused)

@@ -114,7 +114,7 @@ class TestWindowedObservabilityFlags:
                      "--slo", "60000"], out=out)
         text = out.getvalue()
         assert "windowed timeline" in text
-        assert "SLO on the 'execution' stage" in text
+        assert "SLO on the 'request' stage" in text
         assert "SLO PASSED" in text or "SLO VIOLATED" in text
         assert code in (0, 1)
 

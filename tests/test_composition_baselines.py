@@ -282,6 +282,7 @@ class TestRandomBestOfAttempts:
             _, utility, feasible = evaluate_assignment(
                 request.task, request, assignment, relevant, normalizer,
                 ExhaustiveSelection(PROPS).approach,
+                request.normalised_weights(relevant),
             )
             if feasible:
                 utilities.append(utility)

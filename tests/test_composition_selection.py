@@ -82,6 +82,7 @@ class TestGlobalNormalizer:
         aggregated, utility, _ = evaluate_assignment(
             small_task, loose_request, assignment, props4, normalizer,
             AggregationApproach.PESSIMISTIC,
+            loose_request.normalised_weights(props4),
         )
         for name in props4:
             low, high = normalizer.span(name)
@@ -127,6 +128,7 @@ class TestNormalizerEdgeCases:
         aggregated, utility, feasible = evaluate_assignment(
             small_task, loose_request, assignment, props4, normalizer,
             AggregationApproach.PESSIMISTIC,
+            loose_request.normalised_weights(props4),
         )
         assert 0.0 <= utility <= 1.0
         assert feasible
@@ -154,6 +156,7 @@ class TestNormalizerEdgeCases:
         _, _, feasible = evaluate_assignment(
             small_task, request, assignment, relevant, normalizer,
             AggregationApproach.PESSIMISTIC,
+            request.normalised_weights(relevant),
         )
         assert not feasible
 

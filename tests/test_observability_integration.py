@@ -46,7 +46,7 @@ class TestTracedRun:
         assert result.report.succeeded
         assert len(obs.spans) == 1
         root = obs.spans[0]
-        assert root.name == "run"
+        assert root.name == "runtime.request"
         assert result.trace is root
 
         names = {span.name for span in root.walk()}

@@ -45,11 +45,8 @@ from repro.runtime import (
     verify_runtime_invariants,
 )
 
-from tests.test_runtime_determinism import (
-    build_world,
-    plan_signature,
-    report_signature,
-)
+from repro.experiments.fuzzing import plan_signature, report_signature
+from tests.test_runtime_determinism import build_world
 
 BACKENDS = ("thread", "process")
 

@@ -3,9 +3,10 @@
 The runtime composes concurrently but commits executions in strict
 admission order, so N seeded requests brokered through the pool must
 produce exactly the plans *and* execution reports the serial middleware
-produces for the same workload.  Worlds are compared by seeded service
-*names* (service ids come from a process-global counter and differ across
-identically-seeded worlds).
+produces for the same workload.  Worlds are compared through the exact
+signatures of :mod:`repro.experiments.fuzzing`, which key on seeded
+service *names* (service ids come from a process-global counter and
+differ across identically-seeded worlds).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import random
 import threading
 
+from repro.experiments.fuzzing import plan_signature, report_signature
 from repro.middleware.qasom import QASOM
 from repro.qos.properties import STANDARD_PROPERTIES
 from repro.runtime import MiddlewareRuntime, RequestStatus, RuntimeConfig
@@ -53,30 +55,6 @@ def build_world(seed=17, services=8, profiles=5, repeats=2):
                                     weights=weights))
     return middleware, [requests[i % profiles]
                         for i in range(profiles * repeats)], generator
-
-
-def plan_signature(plan):
-    return (
-        tuple(sorted((activity, selection.primary.name)
-                     for activity, selection in plan.selections.items())),
-        round(plan.utility, 9),
-        plan.feasible,
-        tuple(sorted((name, round(plan.aggregated_qos[name], 6))
-                     for name in plan.aggregated_qos)),
-    )
-
-
-def report_signature(report):
-    def qos(vector):
-        if vector is None:
-            return None
-        return tuple(sorted((n, round(vector[n], 6)) for n in vector))
-
-    return tuple(
-        (record.activity_name, round(record.started_at, 9),
-         record.succeeded, record.attempt, qos(record.observed_qos))
-        for record in report.invocations
-    )
 
 
 class TestPooledEqualsSerial:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.execution.clock import SimulatedClock
 from repro.middleware.qasom import QASOM
 from repro.observability import (
@@ -200,6 +202,63 @@ class TestJsonlRoundTrip:
                     continue
                 parent = by_id[parent_id]
                 assert parent.get("trace_id") == record["trace_id"]
+
+
+def _serial_submit(middleware, request):
+    return middleware.submit(request).result()
+
+
+def _serial_run(middleware, request):
+    return middleware.run(request)
+
+
+def _runtime(backend):
+    def serve(middleware, request):
+        config = RuntimeConfig(backend=backend, workers=1)
+        with MiddlewareRuntime(middleware, config) as runtime:
+            return runtime.submit(request).result()
+
+    return serve
+
+
+#: Every way a request is composed and executed.
+PATHS = {
+    "submit": _serial_submit,
+    "run": _serial_run,
+    "thread": _runtime("thread"),
+    "process": _runtime("process"),
+}
+
+
+class TestOneCompositionPath:
+    """Serial submits, ``run`` and the runtime compose through one
+    routine, so every path records the same span tree."""
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_result_trace_is_the_request_root(self, path):
+        middleware, request, obs = build_world()
+        result = PATHS[path](middleware, request)
+        assert result.trace.name == "runtime.request"
+        trace = assemble_traces(obs.tracer.all_spans())[result.trace.trace_id]
+        assert trace.root is result.trace
+        assert not any(span.name == "run" for span in trace.spans)
+
+    @pytest.mark.parametrize("path", ["submit", "run", "thread"])
+    def test_one_discovery_span_per_activity_under_compose(self, path):
+        middleware, request, obs = build_world()
+        PATHS[path](middleware, request)
+        (trace,) = assemble_traces(obs.tracer.all_spans()).values()
+        (compose,) = [span for span in trace.spans if span.name == "compose"]
+        discoveries = [
+            child for child in compose.children if child.name == "discovery"
+        ]
+        assert [span.attributes["activity"] for span in discoveries] == [
+            activity.name for activity in request.task.activities
+        ]
+        assert all(span.attributes["pool_size"] > 0 for span in discoveries)
+        assert [
+            span for span in trace.spans if span.name == "discovery"
+        ] == discoveries
 
 
 class TestSerialPathTraces:
