@@ -182,6 +182,16 @@ def _wants_observability(args: argparse.Namespace) -> bool:
                 or args.slo or getattr(args, "forensics", None))
 
 
+def _print_trace(obs, out) -> None:
+    """The ``--trace`` span tree, with the roots the tracer's ring
+    dropped (if any) counted in its heading."""
+    roots = len(obs.spans)
+    dropped = obs.tracer.dropped_roots
+    print(f"\ntrace ({roots} root span{'s' if roots != 1 else ''}"
+          f"{f', {dropped} older dropped' if dropped else ''}):", file=out)
+    print(observability.render_span_tree(obs.spans), file=out)
+
+
 def _export_observability(args: argparse.Namespace, obs, out,
                           forensics=None) -> None:
     if args.metrics_out:
@@ -303,9 +313,7 @@ def _run_scenario(args: argparse.Namespace, out) -> int:
               f"{[a.action.value for a in result.adaptations]}", file=out)
     if obs is not None:
         if args.trace:
-            print(f"\ntrace ({len(obs.spans)} root span"
-                  f"{'s' if len(obs.spans) != 1 else ''}):", file=out)
-            print(observability.render_span_tree(obs.spans), file=out)
+            _print_trace(obs, out)
         _export_observability(args, obs, out)
     return 0 if result.report.succeeded else 1
 
@@ -379,9 +387,7 @@ def _serve_scenario(args, scenario, middleware, obs, out) -> int:
             return 1
     if obs is not None:
         if args.trace:
-            print(f"\ntrace ({len(obs.spans)} root span"
-                  f"{'s' if len(obs.spans) != 1 else ''}):", file=out)
-            print(observability.render_span_tree(obs.spans), file=out)
+            _print_trace(obs, out)
         _export_observability(args, obs, out, forensics=runtime.forensics)
     _report_forensics(args, runtime, out)
     # Exit code reflects broker health, not workload luck: a rejected,
@@ -418,7 +424,9 @@ def _run_experiment(args: argparse.Namespace, out) -> int:
     _print_experiment_result(result, out)
     if args.trace:
         breakdown = observability.stage_breakdown(obs.spans)
-        print("\nper-stage breakdown:", file=out)
+        dropped = obs.tracer.dropped_roots
+        note = f" ({dropped} older root spans dropped)" if dropped else ""
+        print(f"\nper-stage breakdown{note}:", file=out)
         print(observability.render_breakdown(breakdown), file=out)
     _export_observability(args, obs, out)
     return 0

@@ -34,13 +34,19 @@ average         mean v_i    mean v_i      choose       v
 pattern (the composition waits for the slowest branch) whereas resources
 (money, energy) are consumed by *every* branch.  The distinction is made on
 the property's unit dimension.
+
+Every aggregation runs through :class:`CompiledAggregation`, a tree
+compiled once into a fold over per-activity value rows; the functions
+below compile one per call, selectors one per selection.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from typing import Dict, Mapping, Sequence as Seq
+import operator
+from typing import Callable, Dict, List, Mapping, Sequence as Seq, Tuple
 
 from repro.errors import AggregationError
 from repro.qos.properties import AggregationKind, QoSProperty
@@ -55,6 +61,9 @@ from repro.composition.task import (
     Task,
 )
 
+#: One activity's values, in a :class:`CompiledAggregation`'s property order.
+Row = Tuple[float, ...]
+
 
 class AggregationApproach(enum.Enum):
     """How run-time-unknown patterns are resolved (§VI.3.2.1)."""
@@ -64,31 +73,25 @@ class AggregationApproach(enum.Enum):
     MEAN = "mean"
 
 
-def _is_time_like(prop: QoSProperty) -> bool:
-    return prop.unit.dimension == "time"
+def _mean(values: Seq[float]) -> float:
+    return sum(values) / len(values)
 
 
-def _sequence(kind: AggregationKind, values: Seq[float]) -> float:
-    if kind is AggregationKind.ADDITIVE:
-        return sum(values)
-    if kind is AggregationKind.MULTIPLICATIVE:
-        return math.prod(values)
-    if kind is AggregationKind.MIN:
-        return min(values)
-    if kind is AggregationKind.MAX:
-        return max(values)
-    if kind is AggregationKind.AVERAGE:
-        return sum(values) / len(values)
-    raise AggregationError(f"unknown aggregation kind: {kind!r}")
-
-
-def _parallel(prop: QoSProperty, values: Seq[float]) -> float:
+def _formula(prop: QoSProperty, parallel: bool) -> Callable:
+    """``prop``'s sequence (or parallel) formula: only additive time
+    differs under a parallel, whose branches' durations overlap."""
     kind = prop.aggregation
     if kind is AggregationKind.ADDITIVE:
-        return max(values) if _is_time_like(prop) else sum(values)
-    # All remaining kinds behave as in a sequence: availability of an
-    # AND-join still multiplies, throughput is still the bottleneck...
-    return _sequence(kind, values)
+        return max if parallel and prop.unit.dimension == "time" else sum
+    if kind is AggregationKind.MULTIPLICATIVE:
+        return math.prod
+    if kind is AggregationKind.MIN:
+        return min
+    if kind is AggregationKind.MAX:
+        return max
+    if kind is AggregationKind.AVERAGE:
+        return _mean
+    raise AggregationError(f"unknown aggregation kind: {kind!r}")
 
 
 def _conditional(
@@ -118,11 +121,12 @@ def _conditional(
 
 def _loop(
     prop: QoSProperty,
-    body_value: float,
+    body: Seq[float],
     max_iterations: int,
     mean_iterations: float,
     approach: AggregationApproach,
 ) -> float:
+    (body_value,) = body  # the loop's one child
     kind = prop.aggregation
     if kind is AggregationKind.ADDITIVE:
         def at(n: float) -> float:
@@ -147,6 +151,117 @@ def _loop(
     return prop.direction.best(extremes)
 
 
+def _compile(
+    node: Node,
+    positions: Mapping[str, int],
+    props: Seq[QoSProperty],
+    approach: AggregationApproach,
+) -> Callable[[Seq[Row]], Row]:
+    """``node`` as a function of the rows (one per activity, by
+    ``positions``) to its aggregate row: a composite node applies each
+    property's formula to that property's column of its children's rows."""
+    if isinstance(node, Leaf):
+        return operator.itemgetter(positions[node.activity.name])
+    if isinstance(node, Loop):
+        ops = [
+            functools.partial(
+                _loop, prop, max_iterations=node.max_iterations,
+                mean_iterations=node.mean_iterations(), approach=approach,
+            )
+            for prop in props
+        ]
+    elif isinstance(node, (Sequence, Parallel)):
+        ops = [_formula(prop, isinstance(node, Parallel)) for prop in props]
+    elif isinstance(node, Conditional):
+        ops = [
+            functools.partial(
+                _conditional, prop,
+                probabilities=node.branch_probabilities(), approach=approach,
+            )
+            for prop in props
+        ]
+    else:
+        raise AggregationError(f"unknown pattern node: {type(node).__name__}")
+    children = [
+        _compile(child, positions, props, approach)
+        for child in node.children()
+    ]
+    return lambda rows: tuple([
+        op(column)
+        for op, column in zip(ops, zip(*[child(rows) for child in children]))
+    ])
+
+
+class CompiledAggregation:
+    """Table IV.1 over one pattern tree, compiled for a tuple of
+    properties and an approach: called with one :data:`Row` per activity
+    (in :attr:`activities` order), it returns the aggregate row.  Each node
+    applies ``sum``, ``math.prod``, ``min`` or ``max`` to the same values in
+    the same order as aggregating one property alone, so the floats are
+    identical on every Python version.
+    """
+
+    def __init__(
+        self,
+        node: Node,
+        properties: Mapping[str, QoSProperty],
+        approach: AggregationApproach = AggregationApproach.PESSIMISTIC,
+    ) -> None:
+        self.properties: Dict[str, QoSProperty] = dict(properties)
+        self.activities: Tuple[str, ...] = tuple(
+            activity.name for activity in node.activities()
+        )
+        positions = {name: i for i, name in enumerate(self.activities)}
+        self._fold = _compile(
+            node, positions, tuple(self.properties.values()), approach
+        )
+
+    def __call__(self, rows: Seq[Row]) -> Row:
+        """The aggregate row of one row per activity."""
+        return self._fold(rows)
+
+    def rows(self, values: Mapping[str, Mapping[str, float]]) -> List[Row]:
+        """One row per activity from ``values`` (activity -> property ->
+        value, e.g. a :class:`QoSVector`); :class:`AggregationError` names
+        the first missing value, by property then activity order."""
+        names = tuple(self.properties)
+        try:
+            return [
+                tuple([values[activity][name] for name in names])
+                for activity in self.activities
+            ]
+        except KeyError:
+            for name, prop in self.properties.items():
+                for activity in self.activities:
+                    if name not in values.get(activity, ()):
+                        raise AggregationError(
+                            f"no value of {prop.name!r} for activity "
+                            f"{activity!r}"
+                        ) from None
+            raise
+
+    def vector(self, row: Row) -> QoSVector:
+        """An aggregate row as a QoS vector."""
+        return QoSVector(dict(zip(self.properties, row)), self.properties)
+
+    def aggregate(self, assignments: Mapping[str, QoSVector]) -> QoSVector:
+        """The aggregate of each activity's service's QoS vector."""
+        return self.vector(self(self.rows(assignments)))
+
+    def bounds(
+        self, extremes: Mapping[str, Mapping[str, Tuple[float, float]]]
+    ) -> Tuple[Row, Row]:
+        """(best, worst) aggregate rows from the per-activity ``(best,
+        worst)`` values of each property (property -> activity -> pair):
+        every formula is monotone in each value."""
+        sides: Tuple[Dict[str, Dict[str, float]], ...] = ({}, {})
+        for name, per_activity in extremes.items():
+            for activity, pair in per_activity.items():
+                for side, values in zip(pair, sides):
+                    values.setdefault(activity, {})[name] = side
+        return tuple(self._fold(self.rows(values)) for values in sides)
+
+
 def aggregate_values(
     prop: QoSProperty,
     node: Node,
@@ -159,36 +274,10 @@ def aggregate_values(
     service bound to the activity.  Raises :class:`AggregationError` when a
     value is missing.
     """
-    if isinstance(node, Leaf):
-        name = node.activity.name
-        try:
-            return activity_values[name]
-        except KeyError:
-            raise AggregationError(
-                f"no value of {prop.name!r} for activity {name!r}"
-            ) from None
-    if isinstance(node, Sequence):
-        values = [
-            aggregate_values(prop, child, activity_values, approach)
-            for child in node.members
-        ]
-        return _sequence(prop.aggregation, values)
-    if isinstance(node, Parallel):
-        values = [
-            aggregate_values(prop, child, activity_values, approach)
-            for child in node.branches
-        ]
-        return _parallel(prop, values)
-    if isinstance(node, Conditional):
-        values = [
-            aggregate_values(prop, child, activity_values, approach)
-            for child in node.branches
-        ]
-        return _conditional(prop, values, node.branch_probabilities(), approach)
-    if isinstance(node, Loop):
-        body = aggregate_values(prop, node.body, activity_values, approach)
-        return _loop(prop, body, node.max_iterations, node.mean_iterations(), approach)
-    raise AggregationError(f"unknown pattern node: {type(node).__name__}")
+    aggregation = CompiledAggregation(node, {prop.name: prop}, approach)
+    return aggregation(aggregation.rows({
+        activity: {prop.name: value} for activity, value in activity_values.items()
+    }))[0]
 
 
 def aggregate_composition(
@@ -203,15 +292,9 @@ def aggregate_composition(
     service (advertised or observed); the result is the composition's
     ``QoS_Cv`` vector over ``properties``.
     """
-    values: Dict[str, float] = {}
-    for name, prop in properties.items():
-        activity_values = {
-            activity: vector[name]
-            for activity, vector in assignments.items()
-            if name in vector
-        }
-        values[name] = aggregate_values(prop, task.root, activity_values, approach)
-    return QoSVector(values, dict(properties))
+    return CompiledAggregation(task.root, properties, approach).aggregate(
+        assignments
+    )
 
 
 def aggregation_bounds(
@@ -227,16 +310,7 @@ def aggregation_bounds(
     normalisation of aggregated QoS and the feasibility pre-check of QASSA's
     global phase.
     """
-    best = aggregate_values(
-        prop,
-        task.root,
-        {a: extremes[0] for a, extremes in per_activity_extremes.items()},
-        approach,
-    )
-    worst = aggregate_values(
-        prop,
-        task.root,
-        {a: extremes[1] for a, extremes in per_activity_extremes.items()},
-        approach,
-    )
-    return best, worst
+    best, worst = CompiledAggregation(
+        task.root, {prop.name: prop}, approach
+    ).bounds({prop.name: per_activity_extremes})
+    return best[0], worst[0]

@@ -47,7 +47,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
 from repro.services.description import ServiceDescription
-from repro.composition.aggregation import AggregationApproach
+from repro.composition.aggregation import (
+    AggregationApproach,
+    CompiledAggregation,
+)
 from repro.composition.request import UserRequest
 from repro.composition.selection import (
     CandidateSets,
@@ -71,6 +74,23 @@ class _BaseSelector:
     ) -> None:
         self.properties = dict(properties)
         self.approach = approach
+
+    def _scoring(
+        self, request: UserRequest, candidates: CandidateSets
+    ) -> Tuple[Dict[str, float], CompiledAggregation, Normalizer]:
+        """What :func:`evaluate_assignment` needs, once per select: the
+        weights, the aggregation compiled over the relevant properties and
+        the global normaliser."""
+        relevant = relevant_properties(self.properties, request)
+        weights = request.normalised_weights(relevant)
+        aggregation = CompiledAggregation(
+            request.task.root, relevant, self.approach
+        )
+        normalizer = make_global_normalizer(aggregation, {
+            name: candidates.extremes(name, prop)
+            for name, prop in relevant.items()
+        })
+        return weights, aggregation, normalizer
 
     def _plan(
         self,
@@ -150,11 +170,7 @@ class ExhaustiveSelection(_BaseSelector):
                 f"exhaustive search space {stats.search_space} exceeds "
                 f"limit {self.limit}"
             )
-        relevant = relevant_properties(self.properties, request)
-        weights = request.normalised_weights(relevant)
-        normalizer = make_global_normalizer(
-            request.task, candidates, relevant, self.approach
-        )
+        weights, aggregation, normalizer = self._scoring(request, candidates)
         names = candidates.activity_names()
         best: Optional[Tuple[float, Dict[str, ServiceDescription], object]] = None
         best_any: Optional[Tuple[float, Dict[str, ServiceDescription], object]] = None
@@ -162,8 +178,7 @@ class ExhaustiveSelection(_BaseSelector):
         for combo in itertools.product(*(candidates[name] for name in names)):
             assignment = dict(zip(names, combo))
             aggregated, utility, feasible = evaluate_assignment(
-                request.task, request, assignment, relevant, normalizer,
-                self.approach, weights,
+                aggregation, request, assignment, normalizer, weights
             )
             stats.combinations_explored += 1
             stats.utility_evaluations += 1
@@ -209,17 +224,13 @@ class GreedySelection(_BaseSelector):
     ) -> CompositionPlan:
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = relevant_properties(self.properties, request)
-        weights = request.normalised_weights(relevant)
-        normalizer = make_global_normalizer(
-            request.task, candidates, relevant, self.approach
-        )
+        weights, aggregation, normalizer = self._scoring(request, candidates)
 
         assignment: Dict[str, ServiceDescription] = {}
         for name in candidates.activity_names():
             services = candidates[name]
             local_norm = Normalizer.from_vectors(
-                [s.advertised_qos for s in services], relevant
+                [s.advertised_qos for s in services], aggregation.properties
             )
             scored = [
                 (service_utility(s.advertised_qos, local_norm, weights), s)
@@ -229,8 +240,7 @@ class GreedySelection(_BaseSelector):
             assignment[name] = max(scored, key=lambda pair: pair[0])[1]
 
         aggregated, utility, feasible = evaluate_assignment(
-            request.task, request, assignment, relevant, normalizer,
-            self.approach, weights,
+            aggregation, request, assignment, normalizer, weights
         )
         stats.utility_evaluations += 1
         stats.combinations_explored = 1
@@ -271,11 +281,7 @@ class RandomSelection(_BaseSelector):
     ) -> CompositionPlan:
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = relevant_properties(self.properties, request)
-        weights = request.normalised_weights(relevant)
-        normalizer = make_global_normalizer(
-            request.task, candidates, relevant, self.approach
-        )
+        weights, aggregation, normalizer = self._scoring(request, candidates)
         rng = random.Random(self.seed)
         names = candidates.activity_names()
         best_feasible = None
@@ -284,8 +290,7 @@ class RandomSelection(_BaseSelector):
         for _ in range(self.attempts):
             assignment = {name: rng.choice(candidates[name]) for name in names}
             aggregated, utility, feasible = evaluate_assignment(
-                request.task, request, assignment, relevant, normalizer,
-                self.approach, weights,
+                aggregation, request, assignment, normalizer, weights
             )
             stats.combinations_explored += 1
             stats.utility_evaluations += 1
@@ -350,11 +355,7 @@ class GeneticSelection(_BaseSelector):
     ) -> CompositionPlan:
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = relevant_properties(self.properties, request)
-        weights = request.normalised_weights(relevant)
-        normalizer = make_global_normalizer(
-            request.task, candidates, relevant, self.approach
-        )
+        weights, aggregation, normalizer = self._scoring(request, candidates)
         rng = random.Random(self.seed)
         names = candidates.activity_names()
         sizes = [len(candidates[name]) for name in names]
@@ -381,8 +382,7 @@ class GeneticSelection(_BaseSelector):
         def evaluate(chromosome: Tuple[int, ...]):
             assignment = decode(chromosome)
             aggregated, utility, feasible = evaluate_assignment(
-                request.task, request, assignment, relevant, normalizer,
-                self.approach, weights,
+                aggregation, request, assignment, normalizer, weights
             )
             stats.utility_evaluations += 1
             fitness = utility - self.penalty_weight * penalty(aggregated)

@@ -21,9 +21,9 @@ model:
 
   - some global constraint is unsatisfiable even at its favourable bound
     (optimistic aggregate already violates the constraint), or
-  - the utility upper bound (weights × best-achievable normalised values,
-    summed in the same order as :func:`composition_utility`) cannot beat
-    the incumbent.
+  - the utility upper bound (the best-achievable aggregate row, scored by
+    :func:`~repro.composition.utility.row_utility` as every composition
+    is) cannot beat the incumbent.
 
 * **Variable fixing** — before the search, candidates that are Pareto-
   dominated within their activity on all relevant properties are dropped
@@ -54,7 +54,8 @@ from repro.qos.properties import AggregationKind, Direction, QoSProperty
 from repro.services.description import ServiceDescription
 from repro.composition.aggregation import (
     AggregationApproach,
-    aggregate_values,
+    CompiledAggregation,
+    Row,
 )
 from repro.composition.request import UserRequest
 from repro.composition.baselines import _BaseSelector
@@ -63,9 +64,8 @@ from repro.composition.selection import (
     CompositionPlan,
     SelectionStatistics,
     evaluate_assignment,
-    make_global_normalizer,
-    relevant_properties,
 )
+from repro.composition.utility import row_utility
 
 
 @dataclass
@@ -74,7 +74,7 @@ class _Candidate:
 
     index: int                       # position in the original candidate list
     service: ServiceDescription
-    values: Dict[str, float]         # property name -> advertised value
+    row: Row                         # advertised values, relevant order
 
 
 class ExactSelection(_BaseSelector):
@@ -117,24 +117,19 @@ class ExactSelection(_BaseSelector):
     ) -> CompositionPlan:
         started = time.perf_counter()
         stats = SelectionStatistics(search_space=candidates.search_space())
-        relevant = relevant_properties(self.properties, request)
-        normalizer = make_global_normalizer(
-            request.task, candidates, relevant, self.approach
-        )
-        weights = request.normalised_weights(relevant)
+        weights, aggregation, normalizer = self._scoring(request, candidates)
+        relevant = aggregation.properties
         names = candidates.activity_names()
 
         pools = self._build_pools(names, candidates, relevant)
         kept = self._dominance_fixing(pools, relevant, request, stats)
 
         search = _Search(
-            task=request.task,
             request=request,
             names=names,
-            relevant=relevant,
+            aggregation=aggregation,
             normalizer=normalizer,
             weights=weights,
-            approach=self.approach,
             stats=stats,
             max_nodes=self.max_nodes,
         )
@@ -179,7 +174,7 @@ class ExactSelection(_BaseSelector):
         for name in names:
             pool: List[_Candidate] = []
             for index, service in enumerate(candidates[name]):
-                values: Dict[str, float] = {}
+                row = []
                 for pname, prop in relevant.items():
                     value = service.advertised_qos.get(pname)
                     if value is None:
@@ -198,8 +193,8 @@ class ExactSelection(_BaseSelector):
                             f"negative value for multiplicative property "
                             f"{pname!r}; bounds would be inadmissible"
                         )
-                    values[pname] = value
-                pool.append(_Candidate(index, service, values))
+                    row.append(value)
+                pool.append(_Candidate(index, service, tuple(row)))
             pools[name] = pool
         return pools
 
@@ -233,6 +228,7 @@ class ExactSelection(_BaseSelector):
             expected = "<=" if prop.direction is Direction.NEGATIVE else ">="
             if constraint.operator != expected:
                 natural[constraint.property_name] = False
+        checks = list(zip(relevant.values(), natural.values()))
 
         kept: Dict[str, List[_Candidate]] = {}
         dropped_total = 0
@@ -241,9 +237,7 @@ class ExactSelection(_BaseSelector):
             for cand in pool:
                 dominated = False
                 for earlier in survivors:
-                    if self._weakly_dominates(
-                        earlier, cand, relevant, natural
-                    ):
+                    if self._weakly_dominates(earlier, cand, checks):
                         dominated = True
                         break
                 if dominated:
@@ -258,15 +252,14 @@ class ExactSelection(_BaseSelector):
     def _weakly_dominates(
         a: _Candidate,
         b: _Candidate,
-        relevant: Mapping[str, QoSProperty],
-        natural: Mapping[str, bool],
+        checks: Sequence[Tuple[QoSProperty, bool]],
     ) -> bool:
-        """``a`` at least as good as ``b`` on every relevant property."""
-        for pname, prop in relevant.items():
-            va, vb = a.values[pname], b.values[pname]
+        """``a`` at least as good as ``b`` on every relevant property
+        (``checks``: each property and whether its direction is natural)."""
+        for (prop, natural), va, vb in zip(checks, a.row, b.row):
             if va == vb:
                 continue
-            if not natural[pname]:
+            if not natural:
                 return False
             if prop.better(vb, va):
                 return False
@@ -301,7 +294,9 @@ class ExactSelection(_BaseSelector):
                     return None
                 survivors = [
                     cand for cand in pool
-                    if search.candidate_feasible(name, cand, extremes)
+                    if search.satisfiable(
+                        search.bounds({name: cand.row}, extremes)
+                    )
                 ]
                 if len(survivors) != len(pool):
                     removed_total += len(pool) - len(survivors)
@@ -319,120 +314,81 @@ class _Search:
 
     def __init__(
         self,
-        task,
         request: UserRequest,
         names: Sequence[str],
-        relevant: Mapping[str, QoSProperty],
+        aggregation: CompiledAggregation,
         normalizer,
         weights: Mapping[str, float],
-        approach: AggregationApproach,
         stats: SelectionStatistics,
         max_nodes: int,
     ) -> None:
-        self.task = task
         self.request = request
         self.names = list(names)
-        self.relevant = dict(relevant)
+        self.aggregation = aggregation
+        self.relevant = aggregation.properties
+        self.position = {name: i for i, name in enumerate(self.relevant)}
         self.normalizer = normalizer
         self.weights = dict(weights)
-        self.approach = approach
+        self.terms = normalizer.terms(weights, tuple(self.relevant))
         self.stats = stats
         self.max_nodes = max_nodes
 
     # -- bounds --------------------------------------------------------
+    @staticmethod
     def pool_extremes(
-        self, pools: Mapping[str, List[_Candidate]]
-    ) -> Dict[str, Dict[str, Tuple[float, float]]]:
-        """activity -> property -> (min, max) raw value over the pool."""
-        extremes: Dict[str, Dict[str, Tuple[float, float]]] = {}
-        for name, pool in pools.items():
-            per_prop: Dict[str, Tuple[float, float]] = {}
-            for pname in self.relevant:
-                values = [cand.values[pname] for cand in pool]
-                if values:
-                    per_prop[pname] = (min(values), max(values))
-            extremes[name] = per_prop
-        return extremes
+        pools: Mapping[str, List[_Candidate]]
+    ) -> Dict[str, Tuple[Row, Row]]:
+        """activity -> (min, max) raw values over the pool, as rows."""
+        columns = {
+            name: list(zip(*(cand.row for cand in pool)))
+            for name, pool in pools.items()
+        }
+        return {
+            name: (tuple(map(min, cols)), tuple(map(max, cols)))
+            for name, cols in columns.items()
+        }
 
-    def _aggregate_extreme(
+    def bounds(
         self,
-        pname: str,
-        fixed: Mapping[str, float],
-        extremes: Mapping[str, Mapping[str, Tuple[float, float]]],
-        hi: bool,
-    ) -> float:
-        """Lower (``hi=False``) or upper bound on the aggregated value.
-
-        Every aggregation operator is monotone non-decreasing in each
-        activity value, so the bound plugs each free activity's raw
-        min (or max) into the pattern tree.
-        """
-        side = 1 if hi else 0
-        activity_values = dict(fixed)
-        for name in self.names:
-            if name not in activity_values:
-                activity_values[name] = extremes[name][pname][side]
-        prop = self.relevant[pname]
-        return aggregate_values(
-            prop, self.task.root, activity_values, self.approach
+        fixed: Mapping[str, Row],
+        extremes: Mapping[str, Tuple[Row, Row]],
+    ) -> Tuple[Row, Row]:
+        """Lowest and highest aggregate rows any completion of ``fixed``
+        reaches: every aggregation operator is monotone non-decreasing in
+        each value, so each free activity adds its pool's min (max) row."""
+        activities = self.aggregation.activities
+        return tuple(
+            self.aggregation([
+                fixed[name] if name in fixed else extremes[name][side]
+                for name in activities
+            ])
+            for side in (0, 1)
         )
 
-    def constraints_satisfiable(
-        self,
-        fixed: Mapping[str, Dict[str, float]],
-        extremes: Mapping[str, Mapping[str, Tuple[float, float]]],
-    ) -> bool:
-        """Whether some completion can still satisfy every constraint."""
-        fixed_per_prop: Dict[str, Dict[str, float]] = {}
-        for pname in self.relevant:
-            fixed_per_prop[pname] = {
-                name: values[pname] for name, values in fixed.items()
-            }
+    def satisfiable(self, bounds: Tuple[Row, Row]) -> bool:
+        """Whether some completion within ``bounds`` can still satisfy
+        every constraint."""
+        low, high = bounds
         for constraint in self.request.constraints:
-            pname = constraint.property_name
-            if pname not in self.relevant:
-                # A constraint on a property outside the relevant set never
-                # occurs via UserRequest.relevant_properties; be safe.
-                continue
-            favourable = self._aggregate_extreme(
-                pname, fixed_per_prop[pname], extremes,
-                hi=(constraint.operator == ">="),
-            )
-            if not constraint.satisfied_by(favourable):
+            # A constraint on a property outside the relevant set never
+            # occurs via UserRequest.relevant_properties; be safe.
+            pos = self.position.get(constraint.property_name)
+            favourable = high if constraint.operator == ">=" else low
+            if pos is not None and not constraint.satisfied_by(favourable[pos]):
                 return False
         return True
 
-    def candidate_feasible(
-        self,
-        name: str,
-        cand: _Candidate,
-        extremes: Mapping[str, Mapping[str, Tuple[float, float]]],
-    ) -> bool:
-        return self.constraints_satisfiable({name: cand.values}, extremes)
-
-    def utility_bound(
-        self,
-        fixed: Mapping[str, Dict[str, float]],
-        extremes: Mapping[str, Mapping[str, Tuple[float, float]]],
-    ) -> float:
-        """Upper bound on any completion's composition utility.
-
-        Summed in ``weights`` iteration order with the same per-term
-        operations as :func:`composition_utility`, so float monotonicity
-        guarantees ``bound >= utility(completion)`` bit-for-bit.
-        """
-        total = 0.0
-        for pname, weight in self.weights.items():
-            prop = self.relevant[pname]
-            fixed_values = {
-                name: values[pname] for name, values in fixed.items()
-            }
-            best_agg = self._aggregate_extreme(
-                pname, fixed_values, extremes,
-                hi=(prop.direction is Direction.POSITIVE),
-            )
-            total += weight * self.normalizer.normalise(pname, best_agg)
-        return total
+    def utility_bound(self, bounds: Tuple[Row, Row]) -> float:
+        """Upper bound on the composition utility of any completion within
+        ``bounds``: each property's favourable bound, scored by
+        :func:`row_utility` as a completion's aggregate row is, so float
+        monotonicity guarantees ``bound >= utility(completion)``
+        bit-for-bit."""
+        low, high = bounds
+        return row_utility([
+            hi if prop.direction is Direction.POSITIVE else lo
+            for prop, lo, hi in zip(self.relevant.values(), low, high)
+        ], self.terms)
 
     # -- the search ----------------------------------------------------
     def run(
@@ -454,12 +410,14 @@ class _Search:
                 return None
         extremes = self.pool_extremes(pools)
         # Deterministic exploration order: utility-guided (a candidate's
-        # solo SAW score against the global normaliser), index tie-break.
+        # solo SAW score against the global normaliser: higher first finds
+        # strong incumbents early, never changes the optimum), index
+        # tie-break.
         ordered: Dict[str, List[_Candidate]] = {}
         for name, pool in pools.items():
             ordered[name] = sorted(
                 pool,
-                key=lambda cand: (-self._solo_score(cand), cand.index),
+                key=lambda cand: (-row_utility(cand.row, self.terms), cand.index),
             )
         min_index: Dict[str, int] = {
             name: min(cand.index for cand in pool)
@@ -475,7 +433,7 @@ class _Search:
         names = self.names
         depth_count = len(names)
 
-        fixed_values: Dict[str, Dict[str, float]] = {}
+        fixed_rows: Dict[str, Row] = {}
         fixed_services: Dict[str, ServiceDescription] = {}
         prefix_indexes: List[int] = []
 
@@ -495,8 +453,8 @@ class _Search:
             if depth == depth_count:
                 assignment = dict(fixed_services)
                 aggregated, utility, feasible = evaluate_assignment(
-                    self.task, self.request, assignment, self.relevant,
-                    self.normalizer, self.approach, self.weights,
+                    self.aggregation, self.request, assignment,
+                    self.normalizer, self.weights,
                 )
                 self.stats.combinations_explored += 1
                 self.stats.utility_evaluations += 1
@@ -512,15 +470,15 @@ class _Search:
                     best_key = key
                     best_payload = (utility, assignment, aggregated)
                 return
-            if enforce_constraints and not self.constraints_satisfiable(
-                fixed_values, extremes
-            ):
+            if enforce_constraints or best_utility is not None:
+                bounds = self.bounds(fixed_rows, extremes)
+            if enforce_constraints and not self.satisfiable(bounds):
                 self.stats.extra["pruned_infeasible"] = (
                     self.stats.extra.get("pruned_infeasible", 0.0) + 1.0
                 )
                 return
             if best_utility is not None:
-                bound = self.utility_bound(fixed_values, extremes)
+                bound = self.utility_bound(bounds)
                 if bound < best_utility or (
                     bound == best_utility
                     and min_completion_key(depth) >= best_key
@@ -531,12 +489,12 @@ class _Search:
                     return
             name = names[depth]
             for cand in ordered[name]:
-                fixed_values[name] = cand.values
+                fixed_rows[name] = cand.row
                 fixed_services[name] = cand.service
                 prefix_indexes.append(cand.index)
                 recurse(depth + 1)
                 prefix_indexes.pop()
-                del fixed_values[name]
+                del fixed_rows[name]
                 del fixed_services[name]
 
         recurse(0)
@@ -544,15 +502,3 @@ class _Search:
             self.stats.extra.get("nodes_expanded", 0.0) + float(nodes)
         )
         return best_payload
-
-    def _solo_score(self, cand: _Candidate) -> float:
-        """Static ordering heuristic: the candidate's own weighted score
-        against the global normaliser (higher first finds strong
-        incumbents early; purely an ordering choice, never affects the
-        returned optimum)."""
-        total = 0.0
-        for pname, weight in self.weights.items():
-            total += weight * self.normalizer.normalise(
-                pname, cand.values[pname]
-            )
-        return total

@@ -41,7 +41,8 @@ The search is capped (:data:`MAX_COMBINATIONS`); with utility-sorted levels
 the first feasible states found are near-optimal, which is exactly the
 trade-off Figs. VI.5-6 quantify (near-linear time, >90 % optimality).
 Neighbouring states' repairs and polishes try many of the same
-assignments, so one global phase aggregates each distinct assignment once.
+assignments, so one global phase aggregates each distinct assignment once,
+folding the value rows the weight-free stage keeps.
 """
 
 from __future__ import annotations
@@ -55,7 +56,11 @@ from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
 from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
-from repro.composition.aggregation import AggregationApproach, aggregation_bounds
+from repro.composition.aggregation import (
+    AggregationApproach,
+    CompiledAggregation,
+    Row,
+)
 from repro.composition.clustering import QoSLevel, kmeans, rank_levels
 from repro.composition.request import UserRequest
 from repro.composition.selection import (
@@ -63,11 +68,11 @@ from repro.composition.selection import (
     CompositionPlan,
     SelectedActivity,
     SelectionStatistics,
-    evaluate_assignment,
+    make_global_normalizer,
     relevant_properties,
 )
 from repro.composition.selection_cache import SelectionCache
-from repro.composition.utility import Normalizer, point_utility
+from repro.composition.utility import Normalizer, point_utility, row_utility
 from repro.observability import core as observability_core
 
 
@@ -108,8 +113,8 @@ class LocalSelection:
     primaries, but still valid substitutes when the non-dominated pool is
     too small to fill the alternates quota.
 
-    ``services``, ``normalizer``, ``clustering_iterations`` and
-    ``extremes`` come from the weight-free stage (shared by every request
+    ``services``, ``normalizer``, ``clustering_iterations``, ``extremes``
+    and ``rows`` come from the weight-free stage (shared by every request
     over the same pool and properties); ``utilities``, ``levels`` and the
     ``reserve`` order come from the request's weights.  Every instance has
     lists of its own, so nothing a caller does to one reaches the cache.
@@ -126,6 +131,9 @@ class LocalSelection:
     #: candidate set (pruned ones included) — lets the global normaliser be
     #: rebuilt from cached local selections without rescanning candidates.
     extremes: Dict[str, Tuple[float, float]] = field(default_factory=dict)
+    #: Each of ``services``' values over the relevant properties in request
+    #: order (None if it lacks one): the rows the global phase aggregates.
+    rows: Tuple[Optional[Row], ...] = ()
 
 
 class QASSA:
@@ -280,14 +288,12 @@ class QASSA:
         One :class:`_AssignmentScorer` serves the whole call: the walk,
         repair and refine score many assignments more than once, and each
         distinct one is aggregated once.  It is dropped when the call
-        returns.
+        returns.  ``locals_`` must be computed for the same ``relevant``.
         """
         with self.obs.span("qassa.global", k=k) as span:
             names = candidates.activity_names()
             score = _AssignmentScorer(
-                request, names, locals_, relevant,
-                self._build_global_normalizer(request.task, locals_, relevant),
-                self.approach, stats,
+                request, names, locals_, relevant, self.approach, stats
             )
             plans, best_infeasible = self._lattice_walk(
                 request, names, locals_, relevant, score, stats, k
@@ -328,6 +334,13 @@ class QASSA:
                 for name, rank in zip(names, state)
             )
 
+        # Refine's candidates per activity, best local utility first.
+        refine_order = [
+            sorted(
+                range(len(sel.services)), key=lambda i: -sel.utilities[i]
+            )[:REFINE_CANDIDATES]
+            for sel in (locals_[name] for name in names)
+        ]
         start = tuple(0 for _ in names)
         heap: List[Tuple[float, Tuple[int, ...]]] = [(-state_priority(start), start)]
         visited = {start}
@@ -342,17 +355,17 @@ class QASSA:
                 locals_[name].levels[rank].representative
                 for name, rank in zip(names, state)
             )
-            aggregated, utility, feasible = score(indexes)
-            if not feasible:
+            scored = score(indexes)
+            if not scored[2]:
                 repaired = self._repair(
                     request, names, state, locals_, relevant, score
                 )
                 if repaired is not None:
-                    indexes, aggregated, utility = repaired
-                    feasible = True
+                    indexes, scored = repaired
+            values, utility, feasible = scored
             if feasible:
-                indexes, aggregated, utility = self._refine_utility(
-                    names, locals_, indexes, aggregated, utility, score
+                indexes, (values, utility, _) = self._refine_utility(
+                    score, refine_order, indexes, scored
                 )
                 assignment = score.assignment(indexes)
                 binding_key = tuple(
@@ -363,7 +376,8 @@ class QASSA:
                     plans.append(
                         self._make_plan_object(
                             request, names, state, locals_, assignment,
-                            aggregated, utility, feasible=True,
+                            score.aggregation.vector(values), utility,
+                            feasible=True,
                         )
                     )
                     if len(plans) >= k:
@@ -371,7 +385,7 @@ class QASSA:
             elif best_infeasible is None or utility > best_infeasible.utility:
                 best_infeasible = self._make_plan_object(
                     request, names, state, locals_, score.assignment(indexes),
-                    aggregated, utility, feasible=False,
+                    score.aggregation.vector(values), utility, feasible=False,
                 )
             for i in range(len(names)):
                 ranks = list(state)
@@ -406,8 +420,6 @@ class QASSA:
         stats: SelectionStatistics,
     ) -> Dict[str, LocalSelection]:
         """Local phase for every activity, consulting the cache when wired."""
-        if self.cache is not None:
-            self.cache.begin(self._context_key(relevant))
         locals_ = {
             name: self._local_phase(name, services, relevant, weights, stats)
             for name, services in candidates.items()
@@ -416,13 +428,6 @@ class QASSA:
             self.obs.counter("selection_cache_hits_total").inc(stats.cache_hits)
             self.obs.counter("selection_cache_misses_total").inc(stats.cache_misses)
         return locals_
-
-    def _context_key(self, relevant: Mapping[str, QoSProperty]) -> Tuple:
-        """Everything, beyond the candidate pools, the weight-free stage
-        depends on.  The relevant names keep the request's order, which the
-        cached normaliser and points carry.  Cached entries from a
-        different context are unusable."""
-        return (tuple(relevant), self.config.seed)
 
     def _local_phase(
         self,
@@ -440,8 +445,12 @@ class QASSA:
         ) as span:
             stage = None
             if self.cache is not None:
+                # Everything but the pool the weight-free stage reads; the
+                # names keep the request's order, as its normaliser, points
+                # and rows do.
+                context = (tuple(relevant), self.config.seed)
                 fingerprint = SelectionCache.fingerprint(services)
-                stage = self.cache.lookup(activity_name, fingerprint)
+                stage = self.cache.lookup(activity_name, fingerprint, context)
             cached = stage is not None
             if cached:
                 stats.cache_hits += 1
@@ -450,7 +459,7 @@ class QASSA:
                     activity_name, services, relevant, stats
                 )
                 if self.cache is not None:
-                    self.cache.store(activity_name, fingerprint, stage)
+                    self.cache.store(activity_name, fingerprint, stage, context)
                     stats.cache_misses += 1
             selection = self._weighted_stage(activity_name, stage, weights, stats)
             span.set(
@@ -471,13 +480,14 @@ class QASSA:
     ) -> Tuple:
         """The part of the local phase the weights never enter: restrict
         and normalise the candidates' QoS, record the per-property
-        extremes, prune the Pareto-dominated candidates and cluster the
-        kept ones.
+        extremes, prune the Pareto-dominated candidates, cluster the kept
+        ones and take their rows.
 
-        Returns ``(kept, pruned, normalizer, extremes, clustering)``: the
-        kept and the pruned ``(service, normalised point)`` pairs in pool
-        order, the local normaliser, the per-property ``(best, worst)``
-        values over the whole pool and the kept points' k-means result.
+        Returns ``(kept, pruned, normalizer, extremes, clustering, rows)``:
+        the kept and the pruned ``(service, normalised point)`` pairs in
+        pool order, the local normaliser, the per-property ``(best,
+        worst)`` values over the whole pool, the kept points' k-means
+        result and :attr:`LocalSelection.rows`.
         The cache shares it between requests, so nothing downstream
         mutates it.
         """
@@ -515,7 +525,11 @@ class QASSA:
         requested = min(LEVELS_PER_ACTIVITY, len(kept))
         if len(clustering.clusters) < requested and self.obs.enabled:
             self.obs.counter("qassa_levels_collapsed_total").inc()
-        return kept, pruned, normalizer, extremes, clustering
+        rows = tuple(
+            None if None in row else row
+            for row in (tuple([vectors[i].get(n) for n in relevant]) for i in keep)
+        )
+        return kept, pruned, normalizer, extremes, clustering, rows
 
     @staticmethod
     def _weighted_stage(
@@ -527,7 +541,7 @@ class QASSA:
         """The part of the local phase the weights drive: SAW utilities of
         every candidate, the reserve order and the ranking of the cached
         clusters into QoS levels."""
-        kept, pruned, normalizer, extremes, clustering = stage
+        kept, pruned, normalizer, extremes, clustering, rows = stage
         scored = [
             (point_utility(point, weights), service) for service, point in pruned
         ]
@@ -543,27 +557,8 @@ class QASSA:
             clustering_iterations=clustering.iterations,
             reserve=[service for _, service in scored],
             extremes=dict(extremes),
+            rows=rows,
         )
-
-    def _build_global_normalizer(
-        self,
-        task,
-        locals_: Mapping[str, LocalSelection],
-        relevant: Mapping[str, QoSProperty],
-    ) -> Normalizer:
-        """Global normaliser from the per-activity extremes the local phase
-        recorded — equivalent to
-        :func:`~repro.composition.selection.make_global_normalizer` but
-        reusable from cached local selections without rescanning candidates.
-        """
-        spans: Dict[str, Tuple[float, float]] = {}
-        for pname, prop in relevant.items():
-            per_activity = {
-                name: sel.extremes[pname] for name, sel in locals_.items()
-            }
-            best, worst = aggregation_bounds(task, prop, per_activity, self.approach)
-            spans[pname] = (min(best, worst), max(best, worst))
-        return Normalizer(dict(relevant), spans)
 
     @staticmethod
     def _non_dominated_indexes(vectors: Sequence[QoSVector]) -> List[int]:
@@ -579,15 +574,13 @@ class QASSA:
     # ------------------------------------------------------------------
     # global phase helpers
     # ------------------------------------------------------------------
+    @staticmethod
     def _refine_utility(
-        self,
-        names: Sequence[str],
-        locals_: Mapping[str, LocalSelection],
-        indexes: Tuple[int, ...],
-        aggregated: QoSVector,
-        utility: float,
         score: _AssignmentScorer,
-    ) -> Tuple[Tuple[int, ...], QoSVector, float]:
+        refine_order: Sequence[Sequence[int]],
+        indexes: Tuple[int, ...],
+        scored: Tuple[Row, float, bool],
+    ) -> Tuple[Tuple[int, ...], Tuple[Row, float, bool]]:
         """Coordinate-ascent polish of a feasible assignment (one sweep).
 
         Local SAW utility (which picked the level representatives) and
@@ -600,22 +593,17 @@ class QASSA:
         most of a selection's work; neighbouring states' sweeps try many
         of the same assignments, which ``score`` aggregates only once.
         """
-        best = (indexes, aggregated, utility)
-        for pos, name in enumerate(names):
-            sel = locals_[name]
-            ordered = sorted(
-                range(len(sel.services)), key=lambda i: -sel.utilities[i]
-            )[:REFINE_CANDIDATES]
-            current_best = best[2]
+        for pos, (pool, ordered) in enumerate(zip(score.pools, refine_order)):
+            current_best = scored[1]
             for idx in ordered:
-                if sel.services[idx] == sel.services[best[0][pos]]:
+                if pool[idx] == pool[indexes[pos]]:
                     continue
-                trial = best[0][:pos] + (idx,) + best[0][pos + 1:]
-                trial_aggregated, trial_utility, trial_feasible = score(trial)
-                if trial_feasible and trial_utility > current_best:
-                    best = (trial, trial_aggregated, trial_utility)
-                    current_best = trial_utility
-        return best
+                trial = indexes[:pos] + (idx,) + indexes[pos + 1:]
+                trial_scored = score(trial)
+                if trial_scored[2] and trial_scored[1] > current_best:
+                    indexes, scored = trial, trial_scored
+                    current_best = trial_scored[1]
+        return indexes, scored
 
     def _repair(
         self,
@@ -625,7 +613,7 @@ class QASSA:
         locals_: Mapping[str, LocalSelection],
         relevant: Mapping[str, QoSProperty],
         score: _AssignmentScorer,
-    ) -> Optional[Tuple[Tuple[int, ...], QoSVector, float]]:
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[Row, float, bool]]]:
         """Try to make a level combination feasible by swapping members.
 
         Within the state's chosen clusters, repeatedly rebind the activity
@@ -638,11 +626,13 @@ class QASSA:
         chosen = [level.representative for level in levels]
 
         for _ in range(REPAIR_PASSES):
-            aggregated, utility, feasible = score(tuple(chosen))
-            if feasible:
-                return tuple(chosen), aggregated, utility
+            scored = score(tuple(chosen))
+            if scored[2]:
+                return tuple(chosen), scored
 
-            violations = request.violations(aggregated)
+            violations = request.violations(
+                score.aggregation.vector(scored[0])
+            )
             if not violations:
                 return None
             # Most violated constraint (largest negative slack magnitude).
@@ -670,10 +660,8 @@ class QASSA:
             if not improved:
                 return None
 
-        aggregated, utility, feasible = score(tuple(chosen))
-        if feasible:
-            return tuple(chosen), aggregated, utility
-        return None
+        scored = score(tuple(chosen))
+        return (tuple(chosen), scored) if scored[2] else None
 
     # ------------------------------------------------------------------
     def _make_plan_object(
@@ -735,15 +723,17 @@ class _AssignmentScorer:
     """Scores the assignments of one global phase, each distinct one once.
 
     An assignment is an index tuple: one position per activity, in
-    ``names`` order, into that activity's :attr:`LocalSelection.services`.
-    The first call for a tuple runs
-    :func:`~repro.composition.selection.evaluate_assignment`; later calls
-    return the same ``(aggregated, utility, feasible)``.  Every call
-    counts in ``stats.utility_evaluations``; :attr:`aggregations` counts
-    the tuples actually aggregated.  The key is the index tuple, not the
-    services: services compare by id, and a republished service keeps its
-    id under a different QoS.  One instance lives for one
-    :meth:`QASSA.global_phase` call, so requests share nothing.
+    ``names`` (the task's activity) order, into that activity's
+    :attr:`LocalSelection.services`.  The first call for a tuple folds its
+    :attr:`LocalSelection.rows`, scores the aggregate row with
+    :func:`~repro.composition.utility.row_utility` and checks it with
+    :meth:`UserRequest.satisfied_by`, as
+    :func:`~repro.composition.selection.evaluate_assignment` does; later
+    calls return the same ``(aggregate row, utility, feasible)``.  Every call counts in ``stats.utility_evaluations``;
+    :attr:`aggregations` counts the tuples aggregated.  The key is the
+    index tuple, not the services: services compare by id, and a
+    republished service keeps its id under a different QoS.  One instance
+    lives for one :meth:`QASSA.global_phase` call.
     """
 
     def __init__(
@@ -752,30 +742,46 @@ class _AssignmentScorer:
         names: Sequence[str],
         locals_: Mapping[str, LocalSelection],
         relevant: Mapping[str, QoSProperty],
-        normalizer: Normalizer,
         approach: AggregationApproach,
         stats: SelectionStatistics,
     ) -> None:
         self.request = request
         self.names = names
         self.pools = [locals_[name].services for name in names]
-        self.relevant = relevant
-        self.normalizer = normalizer
-        self.approach = approach
-        self.weights = request.normalised_weights(relevant)
+        self.rows = [locals_[name].rows for name in names]
+        self.aggregation = CompiledAggregation(
+            request.task.root, relevant, approach
+        )
+        self.normalizer = make_global_normalizer(self.aggregation, {
+            pname: {name: locals_[name].extremes[pname] for name in names}
+            for pname in relevant
+        })
+        self.terms = self.normalizer.terms(
+            request.normalised_weights(relevant), tuple(relevant)
+        )
         self.stats = stats
-        self.scored: Dict[Tuple[int, ...], Tuple[QoSVector, float, bool]] = {}
+        self.scored: Dict[Tuple[int, ...], Tuple[Row, float, bool]] = {}
 
-    def __call__(
-        self, indexes: Tuple[int, ...]
-    ) -> Tuple[QoSVector, float, bool]:
+    def __call__(self, indexes: Tuple[int, ...]) -> Tuple[Row, float, bool]:
         self.stats.utility_evaluations += 1
         scored = self.scored.get(indexes)
-        if scored is None:
-            scored = self.scored[indexes] = evaluate_assignment(
-                self.request.task, self.request, self.assignment(indexes),
-                self.relevant, self.normalizer, self.approach, self.weights,
-            )
+        if scored is not None:
+            return scored
+        rows = [pool[i] for pool, i in zip(self.rows, indexes)]
+        if None in rows:
+            # A service lacks a relevant value: raise the AggregationError
+            # its QoS vector raises.
+            self.aggregation.rows({
+                n: s.advertised_qos for n, s in self.assignment(indexes).items()
+            })
+        values = self.aggregation(rows)
+        scored = self.scored[indexes] = (
+            values,
+            row_utility(values, self.terms),
+            self.request.satisfied_by(
+                dict(zip(self.aggregation.properties, values))
+            ),
+        )
         return scored
 
     def assignment(

@@ -124,8 +124,9 @@ class UserRequest:
             return {n: 1.0 / len(names) for n in names}
         return {n: v / total for n, v in raw.items()}
 
-    def satisfied_by(self, aggregated: QoSVector) -> bool:
-        """Whether an aggregated composition QoS meets every constraint."""
+    def satisfied_by(self, aggregated: Mapping[str, float]) -> bool:
+        """Whether an aggregated composition QoS (a :class:`QoSVector` or a
+        name -> value mapping) meets every constraint."""
         for c in self.constraints:
             value = aggregated.get(c.property_name)
             if value is None or not c.satisfied_by(value):

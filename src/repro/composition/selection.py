@@ -28,8 +28,8 @@ from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
 from repro.composition.aggregation import (
     AggregationApproach,
+    CompiledAggregation,
     aggregate_composition,
-    aggregation_bounds,
 )
 from repro.composition.request import UserRequest
 from repro.composition.task import Task
@@ -272,44 +272,37 @@ def relevant_properties(
 
 
 def make_global_normalizer(
-    task: Task,
-    candidates: CandidateSets,
-    properties: Mapping[str, QoSProperty],
-    approach: AggregationApproach,
+    aggregation: CompiledAggregation,
+    extremes: Mapping[str, Mapping[str, Tuple[float, float]]],
 ) -> Normalizer:
     """A normaliser over *aggregated* QoS, from per-activity extremes.
 
-    Spans are the best/worst achievable aggregates; any concrete
+    ``extremes`` maps each property to :meth:`CandidateSets.extremes` (or
+    the same pairs from QASSA's local phase).  Spans are the best/worst
+    achievable aggregates under ``aggregation``; any concrete
     composition's aggregated QoS falls inside them, so utilities are
     comparable across selection algorithms (the optimality metric of
     §VI.3.2 depends on this).
     """
-    spans: Dict[str, Tuple[float, float]] = {}
-    for name, prop in properties.items():
-        best, worst = aggregation_bounds(
-            task, prop, candidates.extremes(name, prop), approach
-        )
-        low, high = min(best, worst), max(best, worst)
-        spans[name] = (low, high)
-    return Normalizer(dict(properties), spans)
+    best, worst = aggregation.bounds(extremes)
+    return Normalizer(aggregation.properties, {
+        name: (min(b, w), max(b, w))
+        for name, b, w in zip(aggregation.properties, best, worst)
+    })
 
 
 def evaluate_assignment(
-    task: Task,
+    aggregation: CompiledAggregation,
     request: UserRequest,
     assignment: Mapping[str, ServiceDescription],
-    properties: Mapping[str, QoSProperty],
     normalizer: Normalizer,
-    approach: AggregationApproach,
     weights: Mapping[str, float],
 ) -> Tuple[QoSVector, float, bool]:
     """Aggregate + score one full activity->service assignment under
+    ``aggregation`` (the request's task and relevant properties) and
     ``weights`` (``request.normalised_weights(properties)``)."""
-    aggregated = aggregate_composition(
-        task,
-        {name: service.advertised_qos for name, service in assignment.items()},
-        dict(properties),
-        approach,
+    aggregated = aggregation.aggregate(
+        {name: service.advertised_qos for name, service in assignment.items()}
     )
     utility = composition_utility(aggregated, normalizer, weights)
     return aggregated, utility, request.satisfied_by(aggregated)

@@ -26,20 +26,23 @@ Design notes
   forces a recompute; reordering the pool does too (clustering seeds index
   into pool order, so order is part of the contract).
 * Results also depend on the selection *context* — which properties are
-  relevant (in the request's order, which the cached normaliser keeps) and
-  the k-means seed.  The user's weights and the aggregation
-  approach are not part of it: the weight-free stage never reads them.
-  :meth:`begin` receives a hashable ``context_key``; when it differs from
-  the previous run's the whole cache is flushed.  Within one context,
-  cached results are byte-equal to recomputed ones because the stage is
-  deterministic (seeded k-means, stable sorts).
-* The cache is private to one selector.  Substitution does not read it:
-  each plan carries its activities' local normalisers
+  relevant (in the request's order, which the cached normaliser and value
+  rows keep) and the k-means seed.  The user's weights and the
+  aggregation approach are not part of it: the weight-free stage never
+  reads them.  :meth:`lookup` and :meth:`store` take the hashable context:
+  a lookup under another context misses, a store under a new one flushes
+  the whole cache.  Within one context, cached results are byte-equal to
+  recomputed ones because the stage is deterministic (seeded k-means,
+  stable sorts).
+* Every method holds the cache's lock, so a thread runtime's workers share
+  one cache whatever their contexts.  Substitution does not read it: each
+  plan carries its activities' local normalisers
   (:attr:`~repro.composition.selection.SelectedActivity.normalizer`).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.services.description import ServiceDescription
@@ -55,7 +58,8 @@ class SelectionCache:
 
     def __init__(self) -> None:
         self._entries: Dict[str, Tuple[Fingerprint, Any]] = {}
-        self._context_key: Optional[Any] = None
+        self._context: Optional[Any] = None  # the context of every entry
+        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
@@ -68,25 +72,36 @@ class SelectionCache:
         """Identity of a candidate pool for caching purposes."""
         return tuple((s.service_id, s.advertised_qos) for s in services)
 
-    def begin(self, context_key: Any) -> None:
-        """Start a selection run under ``context_key``.
+    def begin(self, context: Any) -> None:
+        """Flush the cache unless its entries belong to ``context``: results
+        computed under another context (other relevant properties or seed)
+        are not comparable, let alone reusable."""
+        with self._lock:
+            if context != self._context:
+                self._entries.clear()
+                self._context = context
 
-        A context change (different relevant properties or seed) flushes
-        every entry — results computed under another context
-        are not comparable, let alone reusable.
-        """
-        if context_key != self._context_key:
-            self._entries.clear()
-            self._context_key = context_key
+    def lookup(
+        self, activity_name: str, fingerprint: Fingerprint, context: Any = None
+    ) -> Optional[Any]:
+        """The payload stored for ``activity_name`` under ``context`` and
+        an unchanged candidate pool, else None.  A left-out ``context``
+        is the context None, whatever :meth:`begin` last received."""
+        with self._lock:
+            entry = self._entries.get(activity_name)
+            if context == self._context and entry and entry[0] == fingerprint:
+                self.hits += 1
+                return entry[1]
+            self.misses += 1
+            return None
 
-    def lookup(self, activity_name: str, fingerprint: Fingerprint) -> Optional[Any]:
-        """The cached payload for an unchanged candidate pool, else None."""
-        entry = self._entries.get(activity_name)
-        if entry is not None and entry[0] == fingerprint:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        return None
-
-    def store(self, activity_name: str, fingerprint: Fingerprint, payload: Any) -> None:
-        self._entries[activity_name] = (fingerprint, payload)
+    def store(
+        self, activity_name: str, fingerprint: Fingerprint, payload: Any,
+        context: Any = None,
+    ) -> None:
+        """Keep ``payload`` for ``activity_name``'s pool under ``context``
+        (None when left out), first flushing the entries of any other
+        context as :meth:`begin` does."""
+        with self._lock:
+            self.begin(context)
+            self._entries[activity_name] = (fingerprint, payload)

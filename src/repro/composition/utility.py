@@ -20,11 +20,16 @@ Two normaliser scopes exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import QoSModelError
 from repro.qos.properties import Direction, QoSProperty
 from repro.qos.values import QoSVector
+
+
+#: One weighted property of a SAW sum over rows of raw values:
+#: ``(weight, position in the row, low, high, negative direction)``.
+SawTerm = Tuple[float, int, float, float, bool]
 
 
 @dataclass(frozen=True)
@@ -90,24 +95,31 @@ class Normalizer:
         """Per-property spans (max - min), for Euclidean distances."""
         return {name: s.width for name, s in self._spans.items()}
 
-    def normalise(self, name: str, value: float) -> float:
-        """Map a raw value to [0, 1] with 1 = best.
-
-        Values outside the span are clipped; a degenerate span (all
-        candidates equal) normalises to 1.0 since no candidate is worse than
-        another on that dimension.
-        """
+    def _term(self, name: str) -> Tuple[float, float, bool]:
+        """``(low, high, negative direction)`` of ``name``'s span."""
         span = self._spans.get(name)
         prop = self._properties.get(name)
         if span is None or prop is None:
             raise QoSModelError(f"no normalisation span for property {name!r}")
-        if span.width <= 0:
-            return 1.0
-        if prop.direction is Direction.NEGATIVE:
-            score = (span.high - value) / span.width
-        else:
-            score = (value - span.low) / span.width
-        return min(max(score, 0.0), 1.0)
+        return span.low, span.high, prop.direction is Direction.NEGATIVE
+
+    def normalise(self, name: str, value: float) -> float:
+        """Map a raw value to [0, 1] with 1 = best (see :func:`_normalised`)."""
+        low, high, negative = self._term(name)
+        return _normalised(value, low, high, negative)
+
+    def terms(
+        self, weights: Mapping[str, float], order: Sequence[str]
+    ) -> List[SawTerm]:
+        """The terms of ``weights``' SAW sum over rows holding ``order``'s
+        values, in ``weights`` order, for :func:`row_utility`.  A weighted
+        property missing from ``order`` has no term: it scores 0."""
+        position = {name: i for i, name in enumerate(order)}
+        return [
+            (weight, position[name], *self._term(name))
+            for name, weight in weights.items()
+            if name in position
+        ]
 
     def normalise_vector(self, vector: QoSVector) -> Dict[str, float]:
         return {
@@ -115,6 +127,37 @@ class Normalizer:
             for name in self._spans
             if name in vector
         }
+
+
+def _normalised(value: float, low: float, high: float, negative: bool) -> float:
+    """``value`` mapped to [0, 1] over the span ``(low, high)``, 1 = best.
+
+    Values outside the span are clipped; a degenerate span (all
+    candidates equal) normalises to 1.0 since no candidate is worse than
+    another on that dimension.
+    """
+    width = high - low
+    if width <= 0:
+        return 1.0
+    if negative:
+        score = (high - value) / width
+    else:
+        score = (value - low) / width
+    return min(max(score, 0.0), 1.0)
+
+
+def row_utility(row: Sequence[float], terms: Sequence[SawTerm]) -> float:
+    """SAW utility of one row of raw values under :meth:`Normalizer.terms`.
+
+    Every composition is scored here (:func:`composition_utility`, QASSA's
+    global phase, the exact oracle's bound), and it normalises as
+    :meth:`Normalizer.normalise` does, so selectors cannot score a
+    composition differently.
+    """
+    total = 0.0
+    for weight, position, low, high, negative in terms:
+        total += weight * _normalised(row[position], low, high, negative)
+    return total
 
 
 def service_utility(
@@ -160,8 +203,12 @@ def composition_utility(
 ) -> float:
     """SAW utility ``F_Cv`` of an aggregated composition QoS vector.
 
-    Identical mechanics to :func:`service_utility`; kept separate so call
+    The same terms as :func:`service_utility`, scored by
+    :func:`row_utility` like every composition; kept separate so call
     sites document whether they score a service or a composition, and so the
     two can diverge (e.g. penalty terms) without touching callers.
     """
-    return service_utility(aggregated, normalizer, weights)
+    names = list(aggregated)
+    return row_utility(
+        [aggregated[name] for name in names], normalizer.terms(weights, names)
+    )

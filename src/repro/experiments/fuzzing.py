@@ -32,7 +32,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
-from repro.composition.aggregation import AggregationApproach
+from repro.composition.aggregation import (
+    AggregationApproach,
+    CompiledAggregation,
+)
 from repro.composition.baselines import (
     ExhaustiveSelection,
     GeneticSelection,
@@ -245,12 +248,15 @@ def _check_consistency(
 ) -> None:
     """A plan must agree with a from-scratch re-evaluation of its binding."""
     properties = relevant_properties(instance.properties, instance.request)
-    normalizer = make_global_normalizer(
-        instance.task, instance.candidates, properties, instance.approach
+    aggregation = CompiledAggregation(
+        instance.task.root, properties, instance.approach
     )
+    normalizer = make_global_normalizer(aggregation, {
+        name: instance.candidates.extremes(name, prop)
+        for name, prop in properties.items()
+    })
     aggregated, utility, feasible = evaluate_assignment(
-        instance.task, instance.request, plan.binding(), properties,
-        normalizer, instance.approach,
+        aggregation, instance.request, plan.binding(), normalizer,
         instance.request.normalised_weights(properties),
     )
     if plan.feasible != feasible:
@@ -260,8 +266,9 @@ def _check_consistency(
         )
     if aggregated != plan.aggregated_qos:
         divergences.append(
-            f"{label}: plan.aggregated_qos {plan.aggregated_qos!r} != "
-            f"re-aggregated {aggregated!r}"
+            f"{label}: plan.aggregated_qos "
+            f"{_qos_signature(plan.aggregated_qos)} != re-aggregated "
+            f"{_qos_signature(aggregated)}"
         )
     if abs(utility - plan.utility) > UTILITY_EPS:
         divergences.append(

@@ -5,8 +5,8 @@ Three ways out of the in-process tracer/registry:
 * :func:`render_span_tree` — a human-readable tree with wall/simulated
   durations and the most useful attributes (what ``--trace`` prints);
 * :func:`export_jsonl` / :func:`write_jsonl` — one JSON object per line
-  (``{"type": "span"|"metric", ...}``), the machine-readable format
-  ``--metrics-out`` writes and tests round-trip;
+  (``{"type": "span"|"metric.*"|"trace.dropped", ...}``), the
+  machine-readable format ``--metrics-out`` writes and tests round-trip;
 * :func:`stage_breakdown` / :func:`render_breakdown` — aggregate spans by
   name into per-stage timing tables (the experiment harness's answer to
   "where did the time go?").
@@ -110,14 +110,22 @@ def render_span_tree(spans: Iterable[Span]) -> str:
 # JSONL
 # ----------------------------------------------------------------------
 def export_jsonl(observability: Any) -> List[Dict[str, Any]]:
-    """All spans and metrics as JSON-serialisable records."""
+    """All retained spans and metrics as JSON-serialisable records.
+
+    A live tracer also writes one ``{"type": "trace.dropped", "roots":
+    N}`` record: the finished root spans its ring dropped before the
+    export (0 when the spans are complete).
+    """
     records: List[Dict[str, Any]] = []
-    for root in observability.tracer.all_spans() if hasattr(
-        observability.tracer, "all_spans"
-    ) else ():
+    tracer = observability.tracer
+    for root in tracer.all_spans() if hasattr(tracer, "all_spans") else ():
         record = root.to_dict()
         record["type"] = "span"
         records.append(record)
+    if getattr(tracer, "enabled", False):
+        records.append(
+            {"type": "trace.dropped", "roots": tracer.dropped_roots}
+        )
     for metric in observability.metrics.snapshot():
         metric = dict(metric)
         metric["type"] = f"metric.{metric.pop('type')}"

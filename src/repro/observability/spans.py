@@ -25,6 +25,10 @@ import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Protocol
 
+#: Finished root spans a :class:`Tracer` keeps; finishing one more drops
+#: (and counts) the oldest.
+TRACE_CAPACITY = 2048
+
 
 class Clock(Protocol):
     """Anything with a ``now() -> float`` (the simulated clock qualifies)."""
@@ -172,7 +176,14 @@ class Tracer:
 
     ``clock`` is the environment's simulated clock; when present every
     span also records simulated start/end timestamps.  Finished *root*
-    spans accumulate in :attr:`spans` (children hang off their parents).
+    spans accumulate in :attr:`spans` (children hang off their parents),
+    oldest first, at most :data:`TRACE_CAPACITY` of them: like the
+    :class:`~repro.observability.events.FlightRecorder`, the tracer is a
+    ring, so a long-running traced middleware keeps bounded memory.
+    :attr:`dropped_roots` counts the roots it dropped, so "dropped" reads
+    differently from "none".  A caller that needs every tree drains the
+    ring with :meth:`reset` within the window (each request's
+    ``RunResult.trace`` holds its own tree anyway).
 
     The open-span stack is **thread-local**: spans opened by a runtime
     worker thread nest under that thread's own ancestry and surface as
@@ -197,6 +208,8 @@ class Tracer:
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock
         self.spans: List[Span] = []
+        #: Finished roots dropped from the full ring since construction.
+        self.dropped_roots = 0
         self._local = threading.local()
         self._ids = itertools.count(1)
         self._roots_lock = threading.Lock()
@@ -287,6 +300,9 @@ class Tracer:
             # cross-thread assembly links it back up by id.)
             with self._roots_lock:
                 self.spans.append(span)
+                if len(self.spans) > TRACE_CAPACITY:
+                    del self.spans[0]
+                    self.dropped_roots += 1
 
     # ------------------------------------------------------------------
     def reset(self) -> List[Span]:
@@ -359,6 +375,7 @@ class NullTracer:
 
     #: Shared empty tuple so callers can iterate without branching.
     spans: tuple = ()
+    dropped_roots = 0
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
         return NULL_SPAN

@@ -19,8 +19,8 @@ commit, coalescing and supervision; *where* the CPU-bound composition step
   so this backend refuses it with
   :class:`~repro.errors.UnsupportedBackendFeatureError` at construction.
 
-Both compose through one
-:class:`~repro.runtime.process_worker.WorkerState` per worker, so they
+Both compose through :class:`~repro.runtime.process_worker.WorkerState`
+— one shared by every worker thread, or one per worker process — so they
 differ only in where QASSA runs.  Both are driven *by the runtime's worker
 threads*: a thread either composes inline (thread backend) or blocks on
 its worker process's reply (process backend — the pipe wait releases the
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
-import threading
 from typing import TYPE_CHECKING, List, Protocol, runtime_checkable
 
 from repro.errors import UnsupportedBackendFeatureError, WorkerProcessCrash
@@ -95,15 +94,22 @@ def _worker_context(middleware) -> WorkerContext:
 
 
 class ThreadBackend:
-    """Inline execution on the runtime's own worker threads, each owning
-    one :class:`WorkerState` built on the runtime's shared pool memo."""
+    """Inline execution on the runtime's own worker threads, all composing
+    through one :class:`WorkerState` built on the runtime's pool memo
+    (``runtime.batcher``): its selector's cache is shared, so a
+    weight-free local stage one thread computed serves the others."""
 
     name = "thread"
 
     def __init__(self, runtime: "MiddlewareRuntime") -> None:
         self.runtime = runtime
-        self._context = _worker_context(runtime.middleware)
-        self._local = threading.local()
+        self._state = WorkerState(
+            _worker_context(runtime.middleware),
+            pools=runtime.batcher,
+            match_cache=runtime.middleware.discovery.match_cache,
+            observability=runtime.observability,
+            estimator=runtime.middleware.estimator,
+        )
 
     def start(self) -> None:
         pass  # worker threads are the executors; the runtime spawns them
@@ -112,17 +118,7 @@ class ThreadBackend:
         return 0
 
     def compose(self, spec, snapshot) -> List[CompositionPlan]:
-        state = getattr(self._local, "state", None)
-        if state is None:
-            runtime = self.runtime
-            state = self._local.state = WorkerState(
-                self._context,
-                pools=runtime.batcher,
-                match_cache=runtime.middleware.discovery.match_cache,
-                observability=runtime.observability,
-                estimator=runtime.middleware.estimator,
-            )
-        return state.compose(spec, snapshot)
+        return self._state.compose(spec, snapshot)
 
 
 class _WorkerChannel:

@@ -124,16 +124,19 @@ def compose(
 
 class WorkerState:
     """One worker's composition machinery: memoised discovery plus a
-    private QASSA, composing through :func:`compose`.
+    QASSA selector, composing through :func:`compose`.
 
     ``pools`` is the :class:`~repro.runtime.batching.SingleFlight` memo of
     discovery pools, keyed ``(generation, capability, degree)``; a miss
     grades concepts through ``match_cache``, so cold lookups for
-    different capabilities reuse each other's gradings.  A worker process
-    builds one from its :class:`WorkerContext` alone (its own memo and
-    match cache, no observability: its spans are no-ops); the
-    thread backend passes the runtime's shared memo, the middleware's
-    match cache, observability and the cross-layer estimator.
+    different capabilities reuse each other's gradings.  The selector
+    keeps its weight-free local stages in a :class:`SelectionCache` of
+    its own.  A worker process builds one from its :class:`WorkerContext`
+    alone (its own memo and match cache, no observability: its spans are
+    no-ops).  The thread backend builds one for all its worker threads,
+    on the runtime's shared memo, the middleware's match cache,
+    observability and the cross-layer estimator, so the threads also
+    share one selection cache.
     """
 
     def __init__(

@@ -268,20 +268,22 @@ class TestRandomBestOfAttempts:
         # Replay the selector's own deterministic draw sequence and score
         # every attempt from scratch.
         relevant = {n: PROPS[n] for n in request.relevant_properties or PROPS}
+        from repro.composition.aggregation import CompiledAggregation
         from repro.composition.selection import make_global_normalizer
 
-        normalizer = make_global_normalizer(
-            request.task, candidates, relevant,
-            ExhaustiveSelection(PROPS).approach,
+        aggregation = CompiledAggregation(
+            request.task.root, relevant, ExhaustiveSelection(PROPS).approach
         )
+        normalizer = make_global_normalizer(aggregation, {
+            n: candidates.extremes(n, p) for n, p in relevant.items()
+        })
         rng = random.Random(seed)
         names = candidates.activity_names()
         utilities = []
         for _ in range(attempts):
             assignment = {n: rng.choice(candidates[n]) for n in names}
             _, utility, feasible = evaluate_assignment(
-                request.task, request, assignment, relevant, normalizer,
-                ExhaustiveSelection(PROPS).approach,
+                aggregation, request, assignment, normalizer,
                 request.normalised_weights(relevant),
             )
             if feasible:

@@ -6,7 +6,10 @@ import pytest
 
 from repro.errors import NoCandidateError, SelectionError
 from repro.qos.properties import RESPONSE_TIME
-from repro.composition.aggregation import AggregationApproach
+from repro.composition.aggregation import (
+    AggregationApproach,
+    CompiledAggregation,
+)
 from repro.composition.request import GlobalConstraint, UserRequest
 from repro.composition.selection import (
     CandidateSets,
@@ -70,18 +73,19 @@ class TestGlobalNormalizer:
     def test_aggregated_values_fall_inside_spans(
         self, small_task, small_candidates, props4, loose_request
     ):
-        normalizer = make_global_normalizer(
-            small_task, small_candidates, props4,
-            AggregationApproach.PESSIMISTIC,
+        aggregation = CompiledAggregation(
+            small_task.root, props4, AggregationApproach.PESSIMISTIC
         )
+        normalizer = make_global_normalizer(aggregation, {
+            n: small_candidates.extremes(n, p) for n, p in props4.items()
+        })
         # Any concrete assignment's aggregate must be inside the spans.
         assignment = {
             name: small_candidates[name][0]
             for name in small_candidates.activity_names()
         }
         aggregated, utility, _ = evaluate_assignment(
-            small_task, loose_request, assignment, props4, normalizer,
-            AggregationApproach.PESSIMISTIC,
+            aggregation, loose_request, assignment, normalizer,
             loose_request.normalised_weights(props4),
         )
         for name in props4:
@@ -106,7 +110,10 @@ class TestNormalizerEdgeCases:
         props = {"security_level": STANDARD_PROPERTIES["security_level"]}
         with pytest.raises(SelectionError):
             make_global_normalizer(
-                small_task, candidates, props, AggregationApproach.PESSIMISTIC
+                CompiledAggregation(
+                    small_task.root, props, AggregationApproach.PESSIMISTIC
+                ),
+                {n: candidates.extremes(n, p) for n, p in props.items()},
             )
 
     def test_single_candidate_degenerate_spans(
@@ -119,15 +126,17 @@ class TestNormalizerEdgeCases:
             {a.name: generator.candidates(a.capability, 1)
              for a in small_task.activities},
         )
-        normalizer = make_global_normalizer(
-            small_task, candidates, props4, AggregationApproach.PESSIMISTIC
+        aggregation = CompiledAggregation(
+            small_task.root, props4, AggregationApproach.PESSIMISTIC
         )
+        normalizer = make_global_normalizer(aggregation, {
+            n: candidates.extremes(n, p) for n, p in props4.items()
+        })
         assignment = {
             name: candidates[name][0] for name in candidates.activity_names()
         }
         aggregated, utility, feasible = evaluate_assignment(
-            small_task, loose_request, assignment, props4, normalizer,
-            AggregationApproach.PESSIMISTIC,
+            aggregation, loose_request, assignment, normalizer,
             loose_request.normalised_weights(props4),
         )
         assert 0.0 <= utility <= 1.0
@@ -145,8 +154,10 @@ class TestNormalizerEdgeCases:
             weights={"response_time": 1.0},
         )
         normalizer = make_global_normalizer(
-            small_task, small_candidates, props4,
-            AggregationApproach.PESSIMISTIC,
+            CompiledAggregation(
+                small_task.root, props4, AggregationApproach.PESSIMISTIC
+            ),
+            {n: small_candidates.extremes(n, p) for n, p in props4.items()},
         )
         assignment = {
             name: small_candidates[name][0]
@@ -154,8 +165,10 @@ class TestNormalizerEdgeCases:
         }
         relevant = {"response_time": props4["response_time"]}
         _, _, feasible = evaluate_assignment(
-            small_task, request, assignment, relevant, normalizer,
-            AggregationApproach.PESSIMISTIC,
+            CompiledAggregation(
+                small_task.root, relevant, AggregationApproach.PESSIMISTIC
+            ),
+            request, assignment, normalizer,
             request.normalised_weights(relevant),
         )
         assert not feasible

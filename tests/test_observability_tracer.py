@@ -5,8 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.execution.clock import SimulatedClock
-from repro.observability import NULL_SPAN, NULL_TRACER, Span, Tracer
-from repro.observability.spans import NullTracer
+from repro.observability import (
+    NULL_SPAN,
+    NULL_TRACER,
+    Observability,
+    Span,
+    Tracer,
+    export_jsonl,
+)
+from repro.observability.spans import TRACE_CAPACITY, NullTracer
 
 
 class TestSpanNesting:
@@ -156,6 +163,64 @@ class TestNullTracer:
         with pytest.raises(RuntimeError):
             with NULL_SPAN:
                 raise RuntimeError("boom")
+
+
+class TestTracerRing:
+    """The tracer keeps the newest TRACE_CAPACITY root trees, like the
+    flight recorder keeps its newest events, and counts what it drops."""
+
+    @staticmethod
+    def _request(tracer, index):
+        with tracer.span("runtime.request", index=index):
+            for stage in ("discovery", "qassa.select", "execute"):
+                with tracer.span(stage, index=index):
+                    pass
+
+    def test_keeps_the_newest_roots_and_counts_the_dropped(self):
+        tracer = Tracer()
+        total = TRACE_CAPACITY + 10
+        for index in range(total):
+            self._request(tracer, index)
+        assert len(tracer.spans) == TRACE_CAPACITY
+        assert tracer.dropped_roots == 10
+        assert [s.attributes["index"] for s in tracer.spans] == list(
+            range(10, total)
+        )
+        assert len(tracer.all_spans()) == 4 * TRACE_CAPACITY
+
+    def test_nothing_dropped_reads_zero(self):
+        tracer = Tracer()
+        self._request(tracer, 0)
+        assert tracer.dropped_roots == 0
+        assert NULL_TRACER.dropped_roots == 0
+        tracer.reset()
+        assert tracer.dropped_roots == 0
+
+    def test_the_dump_says_how_many_roots_were_dropped(self):
+        obs = Observability()
+        for index in range(TRACE_CAPACITY + 3):
+            self._request(obs.tracer, index)
+        records = export_jsonl(obs)
+        (dropped,) = [r for r in records if r["type"] == "trace.dropped"]
+        assert dropped["roots"] == 3
+        spans = [r for r in records if r["type"] == "span"]
+        assert len(spans) == 4 * TRACE_CAPACITY
+
+    def test_the_traced_heap_stops_growing(self):
+        import tracemalloc
+
+        tracer = Tracer()
+        tracemalloc.start()
+        try:
+            for index in range(TRACE_CAPACITY + 256):
+                self._request(tracer, index)
+            full, _ = tracemalloc.get_traced_memory()
+            for index in range(2 * TRACE_CAPACITY):
+                self._request(tracer, index)
+            later, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert later - full < 0.05 * full
 
 
 class TestTracerConcurrency:

@@ -20,7 +20,10 @@ kept per Python minor version: from 3.12 on, ``sum()`` over floats uses
 compensated summation, so aggregates can differ in their last bits.
 
 The last test checks that the global phase aggregates each distinct
-assignment once, however often the walk, repair and refine score it.
+assignment once, however often the walk, repair and refine score it: it
+counts the calls of the compiled fold
+(:class:`~repro.composition.aggregation.CompiledAggregation`) the phase
+scores through, each a tuple of the bound services' value rows.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from typing import Dict, Iterator, NamedTuple, Tuple
 import pytest
 
 from repro.errors import SelectionError
-from repro.composition import selection
+from repro.composition.aggregation import CompiledAggregation
 from repro.composition.distributed import DistributedQASSA, NodeAssignment
 from repro.composition.qassa import QASSA, QassaConfig
+from repro.composition.selection import relevant_properties
 from repro.composition.task import Leaf, Sequence
 from repro.experiments.fuzzing import FuzzInstance, FuzzSpec, generate_instance
 from repro.observability import Observability
@@ -161,22 +165,21 @@ def test_global_phase_output_matches_the_golden_digest(sweep):
 
 def test_each_distinct_assignment_is_aggregated_once(monkeypatch):
     instance = generate_instance(2, SPEC)
+    relevant = relevant_properties(instance.properties, instance.request)
     positions = {
-        id(service.advertised_qos): (name, i)
+        tuple(service.advertised_qos[n] for n in relevant): (name, i)
         for name, pool in instance.candidates.items()
         for i, service in enumerate(pool)
     }
     assert len(positions) == sum(instance.candidates.sizes().values())
     aggregated = []
-    real = selection.aggregate_composition
+    real = CompiledAggregation.__call__
 
-    def counting(task, assignments, properties, approach):
-        aggregated.append(
-            tuple(positions[id(qos)] for qos in assignments.values())
-        )
-        return real(task, assignments, properties, approach)
+    def counting(self, rows):
+        aggregated.append(tuple(positions[row] for row in rows))
+        return real(self, rows)
 
-    monkeypatch.setattr(selection, "aggregate_composition", counting)
+    monkeypatch.setattr(CompiledAggregation, "__call__", counting)
     obs = Observability()
     plan = QASSA(
         instance.properties, instance.approach,

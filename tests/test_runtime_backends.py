@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -41,6 +42,7 @@ from repro.runtime import (
     ProcessBackend,
     RequestStatus,
     RuntimeConfig,
+    RunSpec,
     ThreadBackend,
     verify_runtime_invariants,
 )
@@ -482,3 +484,36 @@ class TestConfigValidation:
             UnsupportedBackendFeatureError, MiddlewareRuntimeError
         )
 
+
+class TestThreadWorkersShareOneSelectionCache:
+    def test_a_second_thread_hits_every_activity(self):
+        middleware, requests, _ = build_world(seed=31)
+        first_request, second_request = requests[0], requests[1]
+        assert first_request.weights != second_request.weights
+        serial = middleware.submit(second_request, execute=False).plan()
+
+        runtime = MiddlewareRuntime(
+            middleware, _config("thread"), autostart=False
+        )
+        try:
+            assert isinstance(runtime.backend, ThreadBackend)
+            snapshot = runtime.snapshots.acquire()
+            plans = []
+
+            def compose(request):
+                spec = RunSpec(request=request, execute=False)
+                plans.extend(runtime.backend.compose(spec, snapshot))
+
+            for request in (first_request, second_request):
+                thread = threading.Thread(target=compose, args=(request,))
+                thread.start()
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            runtime.close()
+
+        activities = first_request.task.size()
+        first, second = (plan.statistics for plan in plans)
+        assert (first.cache_hits, first.cache_misses) == (0, activities)
+        assert (second.cache_hits, second.cache_misses) == (activities, 0)
+        assert plan_signature(plans[1]) == plan_signature(serial)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
+import threading
 
 import pytest
 
@@ -331,6 +333,55 @@ class TestWarmColdDifferential:
                     warm.selections[name].normalizer.properties
                     == cold.selections[name].normalizer.properties
                 ), (step, name)
+
+
+class TestSharedAcrossThreads:
+    """One cache (and one selector) shared by threads whose requests have
+    different relevant-property contexts, as a thread runtime's workers
+    share it: each context change flushes, yet no thread ever sees a
+    stage computed under another context."""
+
+    ROUNDS = 25
+
+    def test_two_contexts_hammering_one_cache_match_cold(self):
+        task, _, pools = build_pools(activities=3, services=12, seed=5)
+        candidates = CandidateSets(task, pools)
+        requests = [
+            make_request(task),
+            make_request(task, weights={"availability": 2.0, "cost": 1.0,
+                                        "response_time": 0.5}),
+        ]
+        cold = [
+            plan_signature(QASSA(PROPS).select(request, candidates))
+            for request in requests
+        ]
+        cache = SelectionCache()
+        selector = QASSA(PROPS, cache=cache)
+        mismatches = []
+
+        def hammer(index):
+            for _ in range(self.ROUNDS):
+                plan = selector.select(requests[index], candidates)
+                if plan_signature(plan) != cold[index]:
+                    mismatches.append(index)
+
+        # Four threads, two per context: more workers than a small host
+        # has cores.
+        threads = [
+            threading.Thread(target=hammer, args=(i,)) for i in (0, 1, 0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert cache.hits + cache.misses == len(threads) * self.ROUNDS * 3
 
 
 class TestRankLevels:

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.composition.qassa import QASSA, QassaConfig
 from repro.experiments.fuzzing import (
     FuzzSpec,
+    _check_consistency,
     check_instance,
     fuzz_sweep,
     generate_instance,
@@ -111,3 +113,33 @@ class TestPinnedRegressions:
             for name in b.candidates.activity_names()
         ]
 
+
+
+class TestDivergenceMessages:
+    def test_aggregated_qos_divergence_prints_exact_values(self):
+        # Two vectors that differ in the 7th significant digit print alike
+        # through QoSVector's repr (6 digits); the message must tell them
+        # apart.
+        instance = generate_instance(0)
+        plan = QASSA(
+            instance.properties, instance.approach,
+            config=QassaConfig(seed=instance.seed),
+        ).select(instance.request, instance.candidates, best_effort=True)
+        name, value = next(
+            (n, v) for n, v in sorted(plan.aggregated_qos.items()) if v
+        )
+        drifted = next(
+            value * drift for drift in (1 + 3e-7, 1 - 3e-7)
+            if f"{value * drift:g}" == f"{value:g}"
+        )
+        assert drifted != value
+        plan.aggregated_qos = plan.aggregated_qos.replace(name, drifted)
+        assert repr(plan.aggregated_qos) == repr(
+            plan.aggregated_qos.replace(name, value)
+        )
+
+        divergences = []
+        _check_consistency("qassa", plan, instance, divergences)
+        (message,) = [d for d in divergences if "aggregated_qos" in d]
+        assert repr(drifted) in message
+        assert repr(value) in message
