@@ -15,6 +15,7 @@ and records every decision in an audit log the experiments read.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -57,8 +58,9 @@ class AdaptationOutcome:
 
 
 #: Supplies fresh substitution candidates for an abstract activity on
-#: demand.  Receives the Activity object (not just a name) so the resolver
-#: works across behavioural adaptations, where activity names change but
+#: demand: called only once the plan's alternates have all failed.
+#: Receives the Activity object (not just a name) so the resolver works
+#: across behavioural adaptations, where activity names change but
 #: capabilities remain.
 FreshCandidates = Callable[["Activity"], Sequence[ServiceDescription]]
 
@@ -138,11 +140,13 @@ class AdaptationManager:
             property=trigger.property_name,
         ) as span:
             try:
-                fresh: Sequence[ServiceDescription] = ()
+                fresh = None
                 if self.fresh_candidates is not None:
                     activity_name = self._activity_of(trigger.service_id)
-                    activity = self.plan.task.activity(activity_name)
-                    fresh = self.fresh_candidates(activity)
+                    fresh = functools.partial(
+                        self.fresh_candidates,
+                        self.plan.task.activity(activity_name),
+                    )
                 result = self.substitution.substitute(
                     self.plan, trigger.service_id, fresh_candidates=fresh
                 )

@@ -5,9 +5,9 @@ cheapest repair replaces it with another service of the same activity.
 QASSA deliberately selected *several* services per activity, so the first
 substitution candidates are the pre-selected alternates — no new discovery
 round is needed.  If none of them keeps the composition feasible, the
-activity's full (fresh) candidate set can be searched, best utility first
-by the plan's own local normaliser and the requester's weights; only when
-that also fails does behavioural adaptation take over.
+activity's full (fresh) candidate set is fetched, then searched best
+utility first by the plan's own local normaliser and the requester's
+weights; only when that also fails does behavioural adaptation take over.
 
 The substitution decision re-aggregates the composition's QoS with the
 monitor's *run-time estimates* for the surviving services (not their
@@ -17,7 +17,7 @@ advertised values), which is what makes the repair trustworthy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SubstitutionError
 from repro.qos.properties import QoSProperty
@@ -56,51 +56,72 @@ class ServiceSubstitution:
         self,
         plan: CompositionPlan,
         failing_service_id: str,
-        fresh_candidates: Optional[Sequence[ServiceDescription]] = None,
+        fresh_candidates: Optional[
+            Callable[[], Sequence[ServiceDescription]]
+        ] = None,
     ) -> SubstitutionResult:
         """Replace the failing service in ``plan`` (mutating the plan).
 
         Candidates are tried in order: the plan's pre-selected alternates,
-        then ``fresh_candidates`` (e.g. a new discovery round), best utility
-        first when the plan carries the activity's local normaliser and in
-        the given order otherwise.  The first candidate keeping the
-        request's global constraints satisfied — under run-time QoS
-        estimates — wins.  Raises :class:`SubstitutionError` when none does.
+        then the pool ``fresh_candidates()`` returns (e.g. a new discovery
+        round), best utility first when the plan carries the activity's
+        local normaliser and in the given order otherwise.  The pool is
+        fetched only once every alternate has failed: most substitutions
+        never reach it.  The first candidate keeping the request's global
+        constraints satisfied — under run-time QoS estimates — wins.
+        Raises :class:`SubstitutionError` when none does.
         """
         activity_name = self._activity_of(plan, failing_service_id)
         selection = plan.selections[activity_name]
         removed = selection.primary
 
-        tried: List[ServiceDescription] = list(selection.alternates)
-        fresh: List[ServiceDescription] = [
-            s
-            for s in (fresh_candidates or ())
-            if s.service_id != failing_service_id
-            and all(s != existing for existing in tried)
-        ]
-
-        for pool, is_fresh in ((tried, False), (fresh, True)):
-            if is_fresh:
-                # Ranked only once the alternates are exhausted: most
-                # substitutions never reach the fresh candidates.
-                pool = self._ranked(plan, selection, pool)
-            for candidate in pool:
-                if candidate.service_id == failing_service_id:
-                    continue
-                aggregated = self._aggregate_with(plan, activity_name, candidate)
-                if plan.request.satisfied_by(aggregated):
-                    self._apply(plan, activity_name, candidate, aggregated)
-                    return SubstitutionResult(
-                        activity_name=activity_name,
-                        removed=removed,
-                        replacement=candidate,
-                        aggregated_qos=aggregated,
-                        used_fresh_candidates=is_fresh,
-                    )
-        raise SubstitutionError(
-            f"no substitute for service {failing_service_id!r} "
-            f"(activity {activity_name!r}) keeps the composition feasible"
+        alternates: List[ServiceDescription] = list(selection.alternates)
+        found = self._first_feasible(
+            plan, activity_name, alternates, failing_service_id
         )
+        used_fresh = found is None and fresh_candidates is not None
+        if used_fresh:
+            fresh = [
+                s
+                for s in fresh_candidates()
+                if s.service_id != failing_service_id
+                and all(s != existing for existing in alternates)
+            ]
+            found = self._first_feasible(
+                plan, activity_name, self._ranked(plan, selection, fresh),
+                failing_service_id,
+            )
+        if found is None:
+            raise SubstitutionError(
+                f"no substitute for service {failing_service_id!r} "
+                f"(activity {activity_name!r}) keeps the composition feasible"
+            )
+        candidate, aggregated = found
+        self._apply(plan, activity_name, candidate, aggregated)
+        return SubstitutionResult(
+            activity_name=activity_name,
+            removed=removed,
+            replacement=candidate,
+            aggregated_qos=aggregated,
+            used_fresh_candidates=used_fresh,
+        )
+
+    def _first_feasible(
+        self,
+        plan: CompositionPlan,
+        activity_name: str,
+        candidates: List[ServiceDescription],
+        failing_service_id: str,
+    ) -> Optional[Tuple[ServiceDescription, QoSVector]]:
+        """The first candidate (and the composition's QoS with it) that
+        keeps the request's global constraints satisfied, else None."""
+        for candidate in candidates:
+            if candidate.service_id == failing_service_id:
+                continue
+            aggregated = self._aggregate_with(plan, activity_name, candidate)
+            if plan.request.satisfied_by(aggregated):
+                return candidate, aggregated
+        return None
 
     # ------------------------------------------------------------------
     @staticmethod

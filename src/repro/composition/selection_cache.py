@@ -34,9 +34,10 @@ Design notes
   the whole cache.  Within one context, cached results are byte-equal to
   recomputed ones because the stage is deterministic (seeded k-means,
   stable sorts).
-* Every method holds the cache's lock, so a thread runtime's workers share
-  one cache whatever their contexts.  Substitution does not read it: each
-  plan carries its activities' local normalisers
+* Every method holds the cache's lock, so a middleware's serial submits
+  and its thread runtime's workers share one cache whatever their
+  contexts.  Substitution does not read it: each plan carries its
+  activities' local normalisers
   (:attr:`~repro.composition.selection.SelectedActivity.normalizer`).
 """
 
@@ -59,7 +60,7 @@ class SelectionCache:
     def __init__(self) -> None:
         self._entries: Dict[str, Tuple[Fingerprint, Any]] = {}
         self._context: Optional[Any] = None  # the context of every entry
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -72,21 +73,11 @@ class SelectionCache:
         """Identity of a candidate pool for caching purposes."""
         return tuple((s.service_id, s.advertised_qos) for s in services)
 
-    def begin(self, context: Any) -> None:
-        """Flush the cache unless its entries belong to ``context``: results
-        computed under another context (other relevant properties or seed)
-        are not comparable, let alone reusable."""
-        with self._lock:
-            if context != self._context:
-                self._entries.clear()
-                self._context = context
-
     def lookup(
-        self, activity_name: str, fingerprint: Fingerprint, context: Any = None
+        self, activity_name: str, fingerprint: Fingerprint, context: Any
     ) -> Optional[Any]:
         """The payload stored for ``activity_name`` under ``context`` and
-        an unchanged candidate pool, else None.  A left-out ``context``
-        is the context None, whatever :meth:`begin` last received."""
+        an unchanged candidate pool, else None."""
         with self._lock:
             entry = self._entries.get(activity_name)
             if context == self._context and entry and entry[0] == fingerprint:
@@ -97,11 +88,14 @@ class SelectionCache:
 
     def store(
         self, activity_name: str, fingerprint: Fingerprint, payload: Any,
-        context: Any = None,
+        context: Any,
     ) -> None:
-        """Keep ``payload`` for ``activity_name``'s pool under ``context``
-        (None when left out), first flushing the entries of any other
-        context as :meth:`begin` does."""
+        """Keep ``payload`` for ``activity_name``'s pool under ``context``,
+        first flushing the entries of any other context: results computed
+        under another context (other relevant properties or seed) are not
+        comparable, let alone reusable."""
         with self._lock:
-            self.begin(context)
+            if context != self._context:
+                self._entries.clear()
+                self._context = context
             self._entries[activity_name] = (fingerprint, payload)

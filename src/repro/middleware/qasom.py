@@ -13,7 +13,10 @@ the paper's architecture:
 The public surface is deliberately small and mirrors the concurrent
 runtime's: :meth:`submit` (request → :class:`~repro.runtime.handle.RunHandle`,
 processed inline) and :meth:`run` (``submit(...).result()``); both compose
-through the runtime workers' :func:`repro.runtime.process_worker.compose`.
+through the middleware's one
+:class:`~repro.runtime.process_worker.WorkerState`, which a thread
+runtime's workers share: one discovery-pool memo keyed on the registry
+and ontology generations, and one selector.
 Code written against it moves to the pooled
 :class:`~repro.runtime.runtime.MiddlewareRuntime` without changes.  The
 "Public API & migration" section of ``docs/ARCHITECTURE.md`` maps the
@@ -22,6 +25,7 @@ removed pre-redesign entrypoints onto this surface.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 
@@ -29,11 +33,9 @@ from repro.qos.model import QoSModel, build_end_to_end_model
 from repro.qos.properties import QoSProperty
 from repro.semantics.ontology import Ontology
 from repro.services.description import ServiceDescription
-from repro.services.discovery import DiscoveryQuery, QoSAwareDiscovery
-from repro.composition.qassa import QASSA
+from repro.services.discovery import QoSAwareDiscovery
 from repro.composition.request import UserRequest
 from repro.composition.selection import CandidateSets, CompositionPlan
-from repro.composition.selection_cache import SelectionCache
 from repro.composition.task import Task
 from repro.execution.binding import DynamicBinder
 from repro.execution.engine import ExecutionEngine, ExecutionReport
@@ -49,7 +51,12 @@ from repro.qos.sla import ComplianceTracker, derive_slas
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.degradation import PartialExecutionReport
 from repro.runtime.handle import RunHandle, RunSpec
-from repro.runtime.process_worker import compose, discover_candidates
+from repro.runtime.process_worker import (
+    WorkerContext,
+    WorkerState,
+    discover_candidates,
+)
+from repro.runtime.snapshot import SnapshotManager
 from repro.env.environment import PervasiveEnvironment
 
 
@@ -115,12 +122,26 @@ class QASOM:
             from repro.qos.dependencies import CrossLayerEstimator
 
             self.estimator = CrossLayerEstimator(environment)
-        # Incremental re-selection: the selector reuses per-activity local
-        # phases across requests whose candidate pools did not change.
-        self.selector = QASSA(
-            self.properties, config.aggregation, config.qassa,
-            observability=observability, cache=SelectionCache(),
+        # One composition state for serial submits, candidates_for,
+        # substitution's fresh pools, behavioural adaptation and a thread
+        # runtime's workers: discovery pools memoised per registry and
+        # ontology generation on snapshots from ``snapshots``, and a
+        # selector reusing per-activity local phases across requests
+        # whose pools did not change.
+        self.snapshots = SnapshotManager(environment.registry, task_ontology)
+        self.worker_state = WorkerState(
+            WorkerContext(
+                properties=self.properties,
+                aggregation=config.aggregation,
+                qassa=config.qassa,
+                discovery_minimum_degree=config.discovery_minimum_degree,
+                ontology=task_ontology,
+            ),
+            discovery=self.discovery,
+            observability=observability,
+            estimator=self.estimator,
         )
+        self.selector = self.worker_state.selector
 
         # Adaptation framework.
         self.monitor = QoSMonitor(
@@ -204,31 +225,28 @@ class QASOM:
     # ------------------------------------------------------------------
     def candidates_for(self, task: Task) -> CandidateSets:
         """QoS-aware semantic discovery for every activity of a task (with
-        ``config.infrastructure_aware``, at estimated effective QoS)."""
+        ``config.infrastructure_aware``, at estimated effective QoS),
+        served from the discovery-pool memo."""
         return discover_candidates(
-            task, self._pool, self.observability, self.estimator
-        )
-
-    def _pool(self, capability: str) -> List[ServiceDescription]:
-        """A live discovery round (``self.discovery`` read per call)."""
-        return self.discovery.candidates(
-            DiscoveryQuery(
-                capability=capability,
-                minimum_degree=self.config.discovery_minimum_degree,
-            )
+            task,
+            functools.partial(
+                self.worker_state.candidates, self.snapshots.acquire()
+            ),
+            self.observability, self.estimator,
         )
 
     # ------------------------------------------------------------------
     # adaptation framework
     # ------------------------------------------------------------------
     def _fresh_candidates(self, activity) -> Sequence[ServiceDescription]:
-        """A fresh discovery round for one abstract activity (substitution
-        fallback).  Takes the Activity itself so it stays correct when
-        behavioural adaptation swaps the managed plan's task."""
-        return [
-            s for s in self._pool(activity.capability)
-            if self.environment.is_alive(s)
-        ]
+        """The live part of the current discovery pool for one abstract
+        activity (substitution fallback).  Takes the Activity itself so it
+        stays correct when behavioural adaptation swaps the managed plan's
+        task."""
+        pool = self.worker_state.candidates(
+            self.snapshots.acquire(), activity.capability
+        )
+        return [s for s in pool if self.environment.is_alive(s)]
 
     def adaptation_manager(
         self, plan: CompositionPlan, allow_behavioural: bool = True
@@ -367,9 +385,8 @@ class QASOM:
                 if spec.plan is not None:
                     plans = [spec.plan]
                 else:
-                    plans = compose(
-                        self.selector, spec, self._pool,
-                        self.observability, self.estimator,
+                    plans = self.worker_state.compose(
+                        spec, self.snapshots.acquire()
                     )
                 if spec.execute:
                     result = self._execute_plan(

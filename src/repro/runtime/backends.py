@@ -12,23 +12,25 @@ commit, coalescing and supervision; *where* the CPU-bound composition step
 * :class:`ProcessBackend` — composition is shipped to a pool of spawned
   worker processes, one pipe channel each.  Workers deserialise a pickled
   :class:`~repro.services.registry.RegistrySnapshot` once per registry
-  generation and recompose on it; returned plans are rehydrated onto the
-  parent's own service objects, and the runtime's ordered commit (by
-  admission ticket) keeps pooled==serial byte-identity.  Cross-layer
-  estimation reads live device/link state a worker process cannot see,
-  so this backend refuses it with
+  generation and recompose on it, and are re-primed with the task
+  ontology whenever a request's snapshot carries a newer ontology
+  generation than the one the worker last received; returned plans are
+  rehydrated onto the parent's own service objects, and the runtime's
+  ordered commit (by admission ticket) keeps pooled==serial
+  byte-identity.  Cross-layer estimation reads live device/link state a
+  worker process cannot see, so this backend refuses it with
   :class:`~repro.errors.UnsupportedBackendFeatureError` at construction.
 
 Both compose through :class:`~repro.runtime.process_worker.WorkerState`
-— one shared by every worker thread, or one per worker process — so they
-differ only in where QASSA runs.  Both are driven *by the runtime's worker
-threads*: a thread either composes inline (thread backend) or blocks on
-its worker process's reply (process backend — the pipe wait releases the
-GIL, which is where the parallelism comes from).  A worker process that
-dies mid-compose surfaces as :class:`~repro.errors.WorkerProcessCrash`;
-the backend respawns the process and the runtime requeues the request
-under its original admission ticket, exactly like an injected transient
-fault.
+— the middleware's own, which its serial submits and every worker thread
+share, or one per worker process — so they differ only in where QASSA
+runs.  Both are driven *by the runtime's worker threads*: a thread either
+composes inline (thread backend) or blocks on its worker process's reply
+(process backend — the pipe wait releases the GIL, which is where the
+parallelism comes from).  A worker process that dies mid-compose surfaces
+as :class:`~repro.errors.WorkerProcessCrash`; the backend respawns the
+process and the runtime requeues the request under its original
+admission ticket, exactly like an injected transient fault.
 """
 
 from __future__ import annotations
@@ -39,11 +41,7 @@ from typing import TYPE_CHECKING, List, Protocol, runtime_checkable
 
 from repro.errors import UnsupportedBackendFeatureError, WorkerProcessCrash
 from repro.composition.selection import CompositionPlan, SelectedActivity
-from repro.runtime.process_worker import (
-    WorkerContext,
-    WorkerState,
-    worker_main,
-)
+from repro.runtime.process_worker import worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.handle import RunSpec
@@ -82,34 +80,18 @@ class ExecutionBackend(Protocol):
         ...
 
 
-def _worker_context(middleware) -> WorkerContext:
-    """The one composition context both backends build their workers from."""
-    return WorkerContext(
-        properties=dict(middleware.properties),
-        aggregation=middleware.config.aggregation,
-        qassa=middleware.config.qassa,
-        discovery_minimum_degree=middleware.config.discovery_minimum_degree,
-        ontology=middleware.discovery.ontology,
-    )
-
-
 class ThreadBackend:
     """Inline execution on the runtime's own worker threads, all composing
-    through one :class:`WorkerState` built on the runtime's pool memo
-    (``runtime.batcher``): its selector's cache is shared, so a
-    weight-free local stage one thread computed serves the others."""
+    through the middleware's :class:`WorkerState`, which its serial
+    submits use too: one pool memo (``runtime.batcher``) and one selection
+    cache, so a pool or weight-free local stage one path computed serves
+    the others."""
 
     name = "thread"
 
     def __init__(self, runtime: "MiddlewareRuntime") -> None:
         self.runtime = runtime
-        self._state = WorkerState(
-            _worker_context(runtime.middleware),
-            pools=runtime.batcher,
-            match_cache=runtime.middleware.discovery.match_cache,
-            observability=runtime.observability,
-            estimator=runtime.middleware.estimator,
-        )
+        self._state = runtime.middleware.worker_state
 
     def start(self) -> None:
         pass  # worker threads are the executors; the runtime spawns them
@@ -124,23 +106,26 @@ class ThreadBackend:
 class _WorkerChannel:
     """One worker process plus the parent's pipe end to it."""
 
-    __slots__ = ("process", "conn", "generation")
+    __slots__ = ("process", "conn", "generation", "ontology_generation")
 
-    def __init__(self, process, conn) -> None:
+    def __init__(self, process, conn, ontology_generation: int) -> None:
         self.process = process
         self.conn = conn
         self.generation: int = -1  # no snapshot shipped yet
+        #: The task ontology generation the worker was last primed with.
+        self.ontology_generation = ontology_generation
 
 
 class ProcessBackend:
     """A pool of spawned worker processes, one duplex pipe each.
 
     Channels live in a queue: a runtime worker thread checks one out,
-    ships the snapshot if the worker's world is stale, sends the compose
-    order, blocks on the reply (GIL released), and checks the channel
-    back in.  The ``spawn`` start method keeps children free of inherited
-    locks/threads, at the price of an interpreter start per worker —
-    amortised over the runtime's lifetime.
+    re-primes the worker if its task ontology is older than the
+    snapshot's stamp, ships the snapshot if the worker's registry view is
+    stale, sends the compose order, blocks on the reply (GIL released),
+    and checks the channel back in.  The ``spawn`` start method keeps
+    children free of inherited locks/threads, at the price of an
+    interpreter start per worker — amortised over the runtime's lifetime.
     """
 
     name = "process"
@@ -154,7 +139,8 @@ class ProcessBackend:
                 "worker processes cannot observe; use backend='thread'"
             )
         self.runtime = runtime
-        self._context = _worker_context(runtime.middleware)
+        # Pickled at every send, so a re-prime ships the current ontology.
+        self._context = runtime.middleware.worker_state.context
         self._ctx = multiprocessing.get_context("spawn")
         self._channels: List[_WorkerChannel] = []
         self._pool: "queue.Queue[_WorkerChannel]" = queue.Queue()
@@ -198,6 +184,9 @@ class ProcessBackend:
         channel = self._pool.get()
         broken = False
         try:
+            if channel.ontology_generation < snapshot.ontology_generation:
+                channel.conn.send(("context", self._context))
+                channel.ontology_generation = snapshot.ontology_generation
             if channel.generation != snapshot.generation:
                 channel.conn.send(("snapshot", snapshot))
                 channel.generation = snapshot.generation
@@ -235,7 +224,11 @@ class ProcessBackend:
         )
         process.start()
         child_conn.close()  # the child holds its own copy
-        channel = _WorkerChannel(process, parent_conn)
+        # Read before the context is pickled: an axiom in between costs
+        # one redundant re-prime, never a stale worker.
+        channel = _WorkerChannel(
+            process, parent_conn, self.runtime.snapshots.ontology_generation
+        )
         channel.conn.send(("context", self._context))
         self._channels.append(channel)
         return channel

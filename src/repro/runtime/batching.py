@@ -2,18 +2,19 @@
 
 Requests that arrive together mostly ask for the same work (the paper's
 scenarios are task templates shared across users), and both steps of the
-request path are pure functions of the registry generation plus their
-inputs, so :class:`~repro.runtime.runtime.MiddlewareRuntime` memoises
-each step with one :class:`SingleFlight`:
+request path are pure functions of the registry and task ontology
+generations plus their inputs, so each step is memoised with one
+:class:`SingleFlight`:
 
-* ``runtime.batcher`` holds discovery pools, keyed
-  ``(generation, capability, degree)``;
-* ``runtime.coalescer`` holds composed plans, keyed by the generation, the
-  request and its selection options, so N identical requests against an
-  unchanged world compose once.
+* the middleware's ``worker_state.pools`` (``runtime.batcher``) holds
+  discovery pools for its serial path and its thread runtime, keyed
+  ``((registry generation, ontology generation), capability, degree)``;
+* ``runtime.coalescer`` holds composed plans, keyed by the same pair of
+  generations, the request and its selection options, so N identical
+  requests against an unchanged world compose once.
 
-Churn invalidates naturally: a new registry generation produces new keys,
-and storing its first result drops the older ones.  Within one generation
+Churn and axioms invalidate naturally: a new generation produces new
+keys, and storing its first result drops the older ones.  Within one generation
 a memo keeps at most :data:`MEMO_CAPACITY` values, so a long-lived runtime
 serving distinct requests in an unchanged world stays bounded.
 """
@@ -35,7 +36,8 @@ class SingleFlight:
     The rules:
 
     * The call is :meth:`get` ``(key, compute)``, where ``key[0]`` is the
-      registry generation.
+      generation: anything that only grows, such as the registry
+      generation or a ``(registry, ontology)`` pair of them.
     * A hit returns the stored value.  Values are stored untouched, so a
       caller copies what it mutates.
     * A caller whose key is already being computed waits on the memo's one

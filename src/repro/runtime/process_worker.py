@@ -3,12 +3,12 @@
 A worker process is a tiny request-reply server over one
 :mod:`multiprocessing` pipe.  The parent primes it with a
 :class:`WorkerContext` (the picklable slice of middleware configuration
-composition needs), ships a pickled
+composition needs, the task ontology included), ships a pickled
 :class:`~repro.services.registry.RegistrySnapshot` once per registry
 generation, and then sends one ``("compose", RunSpec)`` message per
-request.  The child composes with the same :class:`WorkerState` a
-thread-backend worker uses — memoised discovery against the snapshot, a
-private QASSA selector, and :func:`compose`, which serial submits share —
+request.  The child composes with a :class:`WorkerState` of its own —
+the class serial submits and thread-backend workers share: memoised
+discovery against the snapshot, a QASSA selector, and :func:`compose` —
 and returns the finished
 :class:`~repro.composition.selection.CompositionPlan` list, which the
 parent rehydrates onto its own service objects (see
@@ -23,7 +23,9 @@ process backend keep the runtime's pooled==serial plan guarantee.
 Messages (all tuples, first element is the kind):
 
 ``("context", WorkerContext)``
-    Fire-and-forget; must precede any compose.
+    Fire-and-forget; must precede any compose.  Sent again when the
+    parent's task ontology changed since the last one: the child rebuilds
+    its state (pool memo, match cache, selector) on the new ontology.
 ``("snapshot", RegistrySnapshot)``
     Fire-and-forget; replaces the worker's world view.
 ``("compose", RunSpec)``
@@ -52,12 +54,7 @@ from repro.runtime.batching import SingleFlight
 from repro.semantics.matching import MatchCache, MatchDegree
 from repro.semantics.ontology import Ontology
 from repro.services.discovery import DiscoveryQuery, QoSAwareDiscovery
-
-#: Observability counters of a discovery-pool memo: computed, coalesced.
-POOL_COUNTERS = (
-    "runtime_discovery_batched_total",
-    "runtime_discovery_coalesced_total",
-)
+from repro.services.registry import RegistrySnapshot
 
 
 @dataclass(frozen=True)
@@ -123,39 +120,49 @@ def compose(
 
 
 class WorkerState:
-    """One worker's composition machinery: memoised discovery plus a
-    QASSA selector, composing through :func:`compose`.
+    """The composition machinery of a middleware or of a worker process:
+    memoised discovery plus a QASSA selector, composing through
+    :func:`compose`.
 
     ``pools`` is the :class:`~repro.runtime.batching.SingleFlight` memo of
-    discovery pools, keyed ``(generation, capability, degree)``; a miss
-    grades concepts through ``match_cache``, so cold lookups for
-    different capabilities reuse each other's gradings.  The selector
-    keeps its weight-free local stages in a :class:`SelectionCache` of
-    its own.  A worker process builds one from its :class:`WorkerContext`
-    alone (its own memo and match cache, no observability: its spans are
-    no-ops).  The thread backend builds one for all its worker threads,
-    on the runtime's shared memo, the middleware's match cache,
-    observability and the cross-layer estimator, so the threads also
-    share one selection cache.
+    discovery pools, keyed ``(snapshot.generations, capability, degree)``
+    -- the registry and ontology generations, the capability and the
+    match degree, everything discovery reads.  A miss runs ``discovery``
+    on the snapshot; its match cache lets cold lookups for different
+    capabilities reuse each other's gradings.  The selector keeps its
+    weight-free local stages in a :class:`SelectionCache`.
+
+    Each middleware builds one on its own discovery, observability and
+    cross-layer estimator; serial submits and every worker thread of a
+    thread runtime compose on it, so they share one pool memo and one
+    selection cache.  A worker process builds one from its
+    :class:`WorkerContext` alone: a discovery with no registry of its own
+    (each lookup names its snapshot) grading through ``match_cache`` or
+    a new one, and no observability, so its spans are no-ops.
     """
 
     def __init__(
         self,
         context: WorkerContext,
         *,
-        pools: Optional[SingleFlight] = None,
+        discovery: Optional[QoSAwareDiscovery] = None,
         match_cache: Optional[MatchCache] = None,
         observability=None,
         estimator=None,
     ) -> None:
         self.context = context
         self.obs = observability_core.resolve(observability)
-        if pools is None:
-            pools = SingleFlight(*POOL_COUNTERS)
-        if match_cache is None and context.ontology is not None:
-            match_cache = MatchCache(context.ontology)
-        self.pools = pools
-        self.match_cache = match_cache
+        if discovery is None:
+            discovery = QoSAwareDiscovery(
+                None, context.ontology, observability=self.obs,
+                match_cache=match_cache,
+            )
+        self.discovery = discovery
+        self.pools = SingleFlight(
+            "runtime_discovery_batched_total",
+            "runtime_discovery_coalesced_total",
+            observability=self.obs,
+        )
         self.estimator = estimator
         self.selector = QASSA(
             context.properties,
@@ -165,34 +172,28 @@ class WorkerState:
             cache=SelectionCache(),
         )
 
-    def compose(self, spec, snapshot) -> List[CompositionPlan]:
+    def compose(
+        self, spec, snapshot: RegistrySnapshot
+    ) -> List[CompositionPlan]:
         """Compose ``spec`` on ``snapshot``'s memoised discovery pools."""
         return compose(
             self.selector, spec, functools.partial(self.candidates, snapshot),
             self.obs, self.estimator,
         )
 
-    def candidates(self, snapshot, capability: str) -> list:
+    def candidates(self, snapshot: RegistrySnapshot, capability: str) -> list:
         """The discovery pool for ``capability`` on ``snapshot``.
 
         Served from the pool memo; a miss runs semantic discovery on the
         snapshot.  Every caller gets its own list, safe to reorder.
         """
         degree = self.context.discovery_minimum_degree
-
-        def discover():
-            discovery = QoSAwareDiscovery(
-                snapshot,  # duck-types the registry read surface
-                self.context.ontology,
-                observability=self.obs,
-                match_cache=self.match_cache,
-            )
-            return discovery.candidates(
-                DiscoveryQuery(capability=capability, minimum_degree=degree)
-            )
-
         return list(self.pools.get(
-            (snapshot.generation, capability, degree), discover
+            (snapshot.generations, capability, degree),
+            lambda: self.discovery.candidates(
+                DiscoveryQuery(capability=capability, minimum_degree=degree),
+                snapshot,
+            ),
         ))
 
 

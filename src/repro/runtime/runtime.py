@@ -12,17 +12,19 @@ shared environment:
   resilience layer's :class:`~repro.resilience.policies.TimeoutPolicy`:
   a request whose deadline lapses while queued is expired, never run.
 * **Snapshot isolation** — every composition runs against a
-  generation-consistent registry snapshot
-  (:class:`~repro.runtime.snapshot.SnapshotManager`), so churn proceeding
+  generation-consistent registry snapshot stamped with the task
+  ontology's generation (the middleware's
+  :class:`~repro.runtime.snapshot.SnapshotManager`), so churn proceeding
   on the environment can never show a half-mutated world to an in-flight
   selection.
-* **Discovery batching & request coalescing** — capability lookups from
-  co-arriving requests share one
-  :class:`~repro.runtime.batching.SingleFlight` memo of discovery pools
-  (and the middleware's shared semantic match cache), and whole
+* **Discovery batching & request coalescing** — capability lookups share
+  the middleware's one :class:`~repro.runtime.batching.SingleFlight` memo
+  of discovery pools (which its serial submits use too), and whole
   composition results for *identical* requests share a second one — the
   throughput win on repeated task templates under the thread backend,
-  where the GIL serialises selection.
+  where the GIL serialises selection.  Both key on the snapshot's
+  registry and ontology generations, so an axiom invalidates them as
+  churn does.
 * **Pluggable execution backends** — the CPU-bound composition step runs
   on an :class:`~repro.runtime.backends.ExecutionBackend`:
   ``backend="thread"`` composes inline on the worker threads,
@@ -36,8 +38,9 @@ shared environment:
   (:class:`~repro.runtime.commit.CommitSequencer`) under the
   environment's shared clock/RNG, so a pooled run produces byte-identical
   plans *and* execution reports to the same workload run serially.
-  Selection itself is deterministic per request (each worker owns a
-  private selector), so concurrency never changes what gets composed.
+  Selection itself is deterministic per request (a pure function of the
+  pools and the request), so concurrency never changes what gets
+  composed.
 
 Every request ends through one terminal transition, which also leaves
 exactly one terminal flight-recorder event per request.
@@ -51,7 +54,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -74,8 +77,6 @@ from repro.runtime.batching import SingleFlight
 from repro.runtime.chaos import ChaosPolicy, InjectedSnapshotFailure
 from repro.runtime.commit import CommitSequencer
 from repro.runtime.handle import RequestStatus, RunHandle, RunSpec
-from repro.runtime.process_worker import POOL_COUNTERS
-from repro.runtime.snapshot import SnapshotManager
 from repro.runtime.supervisor import RetryBudget, WorkerSupervisor
 
 from typing import TYPE_CHECKING
@@ -230,12 +231,10 @@ class MiddlewareRuntime:
         self.autostart = autostart
         self.chaos = chaos
         self.observability = middleware.observability
-        self.snapshots = SnapshotManager(middleware.environment.registry)
-        # Discovery pools keyed (generation, capability, degree), and
-        # composed plans keyed by _plan_key.
-        self.batcher = SingleFlight(
-            *POOL_COUNTERS, observability=self.observability
-        )
+        # The middleware's snapshots and discovery-pool memo, shared with
+        # its serial submits; composed plans are keyed by _plan_key.
+        self.snapshots = middleware.snapshots
+        self.batcher = middleware.worker_state.pools
         self.coalescer = SingleFlight(
             "runtime_plans_computed_total",
             "runtime_plans_coalesced_total",
@@ -691,9 +690,10 @@ class MiddlewareRuntime:
             span.set(status=handle.status.value)
 
     def _compose(self, spec: RunSpec) -> List[CompositionPlan]:
-        """Concurrent composition: snapshot + memoised discovery + private
-        selector, with whole-result coalescing across identical requests.
-        Pools and plans are identical to the serial path.
+        """Concurrent composition: snapshot + memoised discovery + the
+        middleware's selector, with whole-result coalescing across
+        identical requests.  Pools and plans are identical to the serial
+        path.
 
         Every caller gets its own plan clones: the memo keeps the composed
         plans pristine, and execution-time substitution mutates plans in
@@ -701,7 +701,7 @@ class MiddlewareRuntime:
         if self.chaos is not None:
             self.chaos.on_snapshot_acquire()
         snapshot = self.snapshots.acquire()
-        key = self._plan_key(spec, snapshot.generation)
+        key = self._plan_key(spec, snapshot.generations)
         if key is None:
             return self.backend.compose(spec, snapshot)
         plans = self.coalescer.get(
@@ -709,20 +709,20 @@ class MiddlewareRuntime:
         )
         return [plan.clone() for plan in plans]
 
-    def _plan_key(self, spec: RunSpec, generation: int):
+    def _plan_key(self, spec: RunSpec, generations: Tuple[int, int]):
         """The coalescing key for a request, or ``None`` when uncacheable.
 
-        Composition is a pure function of the snapshot generation plus the
-        request content and selection options — *except* when the
-        cross-layer estimator is on (candidate QoS then depends on live
-        device/link state the generation does not cover), so those
-        requests always compose fresh.
+        Composition is a pure function of the snapshot's registry and
+        ontology ``generations`` plus the request content and selection
+        options — *except* when the cross-layer estimator is on
+        (candidate QoS then depends on live device/link state the
+        generations do not cover), so those requests always compose fresh.
         """
         if spec.request is None or self.middleware.estimator is not None:
             return None
         request = spec.request
         return (
-            generation,
+            generations,
             id(request.task),
             tuple(request.constraints),
             tuple(sorted(request.weights.items())),

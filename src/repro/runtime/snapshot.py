@@ -10,7 +10,14 @@ publish/withdraw, and the manager materialises a fresh
 :class:`~repro.services.registry.RegistrySnapshot` only when the counter
 moved.  Between churn events every in-flight request shares one immutable
 snapshot object (copy-on-write, not copy-per-request), so the steady-state
-cost is one integer comparison per acquire.
+cost is two integer comparisons per acquire.
+
+Discovery also reads the task ontology, so each snapshot is stamped with
+the :attr:`~repro.semantics.ontology.Ontology.cache_generation` read when
+it was acquired: a request reads that counter once, here, and keys its
+discovery pools and its plan on the snapshot's
+:attr:`~repro.services.registry.RegistrySnapshot.generations`.  An axiom
+restamps the current snapshot without copying the registry.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from repro.semantics.ontology import Ontology
 from repro.services.registry import RegistrySnapshot, ServiceRegistry
 
 
@@ -29,18 +37,33 @@ class SnapshotManager:
     likes (it simply describes an older generation once churn proceeds).
     """
 
-    def __init__(self, registry: ServiceRegistry) -> None:
+    def __init__(
+        self, registry: ServiceRegistry, ontology: Optional[Ontology] = None
+    ) -> None:
         self.registry = registry
+        self.ontology = ontology
         self._lock = threading.Lock()
         self._current: Optional[RegistrySnapshot] = None
         self._refreshes = 0
         self._acquires = 0
 
+    @property
+    def ontology_generation(self) -> int:
+        """The task ontology's generation now (0 without an ontology)."""
+        ontology = self.ontology
+        return 0 if ontology is None else ontology.cache_generation
+
     def acquire(self) -> RegistrySnapshot:
-        """The snapshot for the registry's current generation."""
+        """The snapshot for the registry's current generation, stamped
+        with the ontology's."""
         self._acquires += 1
+        stamp = self.ontology_generation
         current = self._current
-        if current is not None and current.generation == self.registry.generation:
+        if (
+            current is not None
+            and current.generation == self.registry.generation
+            and current.ontology_generation == stamp
+        ):
             return current
         with self._lock:
             current = self._current
@@ -48,8 +71,11 @@ class SnapshotManager:
                 current is None
                 or current.generation != self.registry.generation
             ):
-                current = self._current = self.registry.snapshot()
+                current = self.registry.snapshot()
                 self._refreshes += 1
+            if current.ontology_generation != stamp:
+                current = current.stamped(stamp)
+            self._current = current
             return current
 
     @property

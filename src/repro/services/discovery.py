@@ -26,7 +26,7 @@ from repro.observability import core as observability_core
 from repro.semantics.matching import MatchCache, MatchDegree
 from repro.semantics.ontology import Ontology
 from repro.services.description import ServiceDescription
-from repro.services.registry import ServiceRegistry
+from repro.services.registry import RegistrySnapshot, ServiceRegistry
 
 
 #: Candidate-pool-size buckets for the discovery histogram (counts, not
@@ -93,11 +93,14 @@ class QoSAwareDiscovery:
     ``task_ontology`` holds the capability/IOPE concepts.  When it is
     ``None``, matching degrades gracefully to syntactic equality (degree
     EXACT or FAIL), which is what a legacy UDDI-style directory would do.
+    ``registry`` is the directory a query searches unless the call names
+    another one, such as a :class:`RegistrySnapshot`; it may be None when
+    every call does.
     """
 
     def __init__(
         self,
-        registry: ServiceRegistry,
+        registry: Optional[ServiceRegistry],
         task_ontology: Optional[Ontology] = None,
         observability=None,
         match_cache: Optional[MatchCache] = None,
@@ -117,14 +120,21 @@ class QoSAwareDiscovery:
         self.obs = observability_core.resolve(observability)
 
     # ------------------------------------------------------------------
-    def discover(self, query: DiscoveryQuery) -> List[DiscoveryMatch]:
-        """All registry services satisfying the query, best matches first."""
+    def discover(
+        self,
+        query: DiscoveryQuery,
+        registry: Optional[RegistrySnapshot] = None,
+    ) -> List[DiscoveryMatch]:
+        """All services of ``registry`` (default: the discovery's own)
+        satisfying the query, best matches first."""
         cache = self.match_cache
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
         matches: List[DiscoveryMatch] = []
         examined = 0
-        for service in self._candidate_pool(query):
+        for service in self._candidate_pool(
+            query, self.registry if registry is None else registry
+        ):
             examined += 1
             degree = self._functional_degree(query.capability, service.capability)
             if degree < query.minimum_degree:
@@ -151,12 +161,18 @@ class QoSAwareDiscovery:
                 )
         return matches
 
-    def candidates(self, query: DiscoveryQuery) -> List[ServiceDescription]:
+    def candidates(
+        self,
+        query: DiscoveryQuery,
+        registry: Optional[RegistrySnapshot] = None,
+    ) -> List[ServiceDescription]:
         """Just the services, best matches first (selection entry point)."""
-        return [m.service for m in self.discover(query)]
+        return [m.service for m in self.discover(query, registry)]
 
     # ------------------------------------------------------------------
-    def _candidate_pool(self, query: DiscoveryQuery) -> List[ServiceDescription]:
+    def _candidate_pool(
+        self, query: DiscoveryQuery, registry
+    ) -> List[ServiceDescription]:
         """Services whose *capability concept* can satisfy the query.
 
         Grades each distinct advertised capability once (memoised across
@@ -166,10 +182,10 @@ class QoSAwareDiscovery:
         passes, which degrades to the old full scan.
         """
         pool: List[ServiceDescription] = []
-        for capability in sorted(self.registry.capabilities()):
+        for capability in sorted(registry.capabilities()):
             degree = self._functional_degree(query.capability, capability)
             if degree >= query.minimum_degree:
-                pool.extend(self.registry.by_capability(capability))
+                pool.extend(registry.by_capability(capability))
         return pool
 
     def _functional_degree(self, required: str, offered: str) -> MatchDegree:

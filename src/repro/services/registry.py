@@ -42,19 +42,40 @@ class RegistrySnapshot:
     iteration) over copied indexes, so discovery can run against it while
     churn proceeds on the live registry — the snapshot never changes.
     Obtain one from :meth:`ServiceRegistry.snapshot`.
+
+    Discovery's answer also depends on the task ontology, so a snapshot
+    carries the ``ontology_generation`` it is read under (0 unless
+    :meth:`stamped`); :attr:`generations` pairs both counters.
     """
 
-    __slots__ = ("generation", "_by_id", "_by_capability")
+    __slots__ = ("generation", "ontology_generation", "_by_id",
+                 "_by_capability")
 
     def __init__(
         self,
         generation: int,
         by_id: Dict[str, ServiceDescription],
         by_capability: Dict[str, Tuple[str, ...]],
+        ontology_generation: int = 0,
     ) -> None:
         self.generation = generation
+        self.ontology_generation = ontology_generation
         self._by_id = by_id
         self._by_capability = by_capability
+
+    @property
+    def generations(self) -> Tuple[int, int]:
+        """``(generation, ontology_generation)``.  Both counters only
+        grow, so the pair orders snapshots in time as either does."""
+        return (self.generation, self.ontology_generation)
+
+    def stamped(self, ontology_generation: int) -> "RegistrySnapshot":
+        """These contents read under ``ontology_generation``; the copy
+        shares this snapshot's indexes."""
+        return RegistrySnapshot(
+            self.generation, self._by_id, self._by_capability,
+            ontology_generation,
+        )
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -80,7 +80,7 @@ class TestSubstitution:
         generator = ServiceGenerator(PROPS, seed=99)
         fresh = generator.candidates("task:A", 5)
         result = ServiceSubstitution(PROPS).substitute(
-            plan, failing.service_id, fresh_candidates=fresh
+            plan, failing.service_id, fresh_candidates=lambda: fresh
         )
         assert result.used_fresh_candidates
         assert result.replacement in fresh

@@ -97,8 +97,8 @@ class TestPooledEqualsSerialOnEveryBackend:
                 assert registry.get(service.service_id) is service
 
     def test_fresh_substitutes_match_serial(self, backend):
-        """Substitution ranks fresh candidates from the plan, so a worker's
-        private selector picks the serial run's substitute.  Request 7 of
+        """Substitution ranks fresh candidates from the plan, so a pooled
+        run picks the serial run's substitute.  Request 7 of
         this world exhausts its Pay alternates; serially its fresh
         substitute is CardPayment-0002."""
 
@@ -490,7 +490,12 @@ class TestThreadWorkersShareOneSelectionCache:
         middleware, requests, _ = build_world(seed=31)
         first_request, second_request = requests[0], requests[1]
         assert first_request.weights != second_request.weights
-        serial = middleware.submit(second_request, execute=False).plan()
+        # The serial reference runs on an identical world: a serial
+        # submit on ``middleware`` would warm the cache its runtime shares.
+        reference, reference_requests, _ = build_world(seed=31)
+        serial = reference.submit(
+            reference_requests[1], execute=False
+        ).plan()
 
         runtime = MiddlewareRuntime(
             middleware, _config("thread"), autostart=False

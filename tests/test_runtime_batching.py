@@ -80,7 +80,7 @@ def run_together(count, target):
 
 
 class TestDiscoveryBatcher:
-    """The pool memo, keyed ``(generation, capability, degree)``."""
+    """The pool memo, keyed ``(generations, capability, degree)``."""
 
     def test_pools_match_direct_discovery(self):
         registry, _ = build_registry()

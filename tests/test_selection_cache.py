@@ -70,11 +70,11 @@ def local_signature(selection):
 class TestCacheCore:
     def test_lookup_miss_then_hit(self):
         cache = SelectionCache()
-        cache.begin(("ctx",))
         fp = (("svc-1", None),)
-        assert cache.lookup("A", fp) is None
-        cache.store("A", fp, payload := object())
-        assert cache.lookup("A", fp) is payload
+        assert len(cache) == 0
+        assert cache.lookup("A", fp, ("ctx",)) is None
+        cache.store("A", fp, payload := object(), ("ctx",))
+        assert cache.lookup("A", fp, ("ctx",)) is payload
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_fingerprint_changes_with_qos(self):
@@ -86,12 +86,12 @@ class TestCacheCore:
 
     def test_context_change_flushes(self):
         cache = SelectionCache()
-        cache.begin(("ctx-1",))
         fp = (("svc-1", None),)
-        cache.store("A", fp, object())
-        cache.begin(("ctx-2",))
-        assert len(cache) == 0
-        assert cache.lookup("A", fp) is None
+        cache.store("A", fp, object(), ("ctx-1",))
+        cache.store("B", fp, object(), ("ctx-2",))
+        assert len(cache) == 1
+        assert cache.lookup("A", fp, ("ctx-1",)) is None
+        assert cache.lookup("A", fp, ("ctx-2",)) is None
 
 
 class TestIncrementalQassa:
@@ -441,7 +441,7 @@ class TestSubstitutionRanksFromPlan:
 
         fresh = [self._fixed("mediocre", 500.0), self._fixed("fast", 50.0)]
         result = ServiceSubstitution(PROPS).substitute(
-            plan, failing, fresh_candidates=fresh
+            plan, failing, fresh_candidates=lambda: fresh
         )
         # Both fresh candidates keep the (unconstrained) plan feasible; the
         # ranked path must try the higher-utility one first.
@@ -484,7 +484,9 @@ class TestSubstitutionRanksFromPlan:
         plan.selections["A0"].normalizer = None  # e.g. a baseline's plan
         fresh = [self._fixed("mediocre", 500.0), self._fixed("fast", 50.0)]
         plain = ServiceSubstitution(PROPS)
-        result = plain.substitute(plan, "primary", fresh_candidates=fresh)
+        result = plain.substitute(
+            plan, "primary", fresh_candidates=lambda: fresh
+        )
         assert result.replacement.service_id == "mediocre"
 
     def test_clone_keeps_the_normalisers(self):
