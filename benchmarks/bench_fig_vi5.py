@@ -41,6 +41,28 @@ def test_fig_vi5a_time_vs_services(benchmark, emit):
     assert plan.feasible
 
 
+def test_fig_vi5a_cold_select_to_1000_services(benchmark, emit):
+    # Every select here is cold (no SelectionCache), so each pays the
+    # weight-free stage, Pareto pruning included, on all five pools.
+    sweep = fig_vi5a(service_counts=(100, 300, 1000), repetitions=2)
+    emit("fig_vi5a_large", render_series(sweep), data=sweep)
+
+    # The paper's timeliness requirement up to 1000 services/activity.
+    assert all(ms < 1000.0 for _, ms in sweep.series("qassa_ms"))
+    assert all(p.values["feasible"] == 1.0 for p in sweep.points)
+
+    workload = make_workload(
+        WorkloadSpec(activities=5, services_per_activity=1000, constraints=4,
+                     seed=1)
+    )
+    selector = QASSA(workload.properties)
+    plan = benchmark.pedantic(
+        selector.select, args=(workload.request, workload.candidates),
+        rounds=3, iterations=1,
+    )
+    assert plan.feasible
+
+
 def test_fig_vi5b_time_vs_constraints(benchmark, emit):
     sweep = fig_vi5b(constraint_counts=(1, 2, 3, 4, 5, 6, 7, 8),
                      repetitions=3)

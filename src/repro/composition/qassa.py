@@ -50,10 +50,11 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SelectionError
-from repro.qos.properties import QoSProperty
+from repro.qos.properties import Direction, QoSProperty
 from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
 from repro.composition.aggregation import (
@@ -493,9 +494,14 @@ class QASSA:
         """
         vectors = [s.advertised_qos.restrict(relevant) for s in services]
         normalizer = Normalizer.from_vectors(vectors, relevant)
+        # Each candidate's values over the relevant properties in request
+        # order (None where it lacks one): the extremes, the skyline and
+        # the kept rows all read this one table.
+        names = tuple(relevant)
+        table = [tuple([v.get(n) for n in names]) for v in vectors]
         extremes: Dict[str, Tuple[float, float]] = {}
-        for pname, prop in relevant.items():
-            values = [v[pname] for v in vectors if pname in v]
+        for column, (pname, prop) in enumerate(relevant.items()):
+            values = [row[column] for row in table if row[column] is not None]
             if not values:
                 raise SelectionError(
                     f"no candidate of activity {activity_name!r} advertises "
@@ -506,7 +512,9 @@ class QASSA:
                 prop.direction.worst(values),
             )
 
-        keep = self._non_dominated_indexes(vectors)
+        with self.obs.span("qassa.prune", candidates=len(vectors)) as span:
+            keep, path = self._non_dominated_indexes(vectors, names, table)
+            span.set(kept=len(keep), path=path)
         kept_indexes = set(keep)
         points = [normalizer.normalise_vector(v) for v in vectors]
         kept = tuple((services[i], points[i]) for i in keep)
@@ -525,10 +533,7 @@ class QASSA:
         requested = min(LEVELS_PER_ACTIVITY, len(kept))
         if len(clustering.clusters) < requested and self.obs.enabled:
             self.obs.counter("qassa_levels_collapsed_total").inc()
-        rows = tuple(
-            None if None in row else row
-            for row in (tuple([vectors[i].get(n) for n in relevant]) for i in keep)
-        )
+        rows = tuple(None if None in table[i] else table[i] for i in keep)
         return kept, pruned, normalizer, extremes, clustering, rows
 
     @staticmethod
@@ -561,15 +566,54 @@ class QASSA:
         )
 
     @staticmethod
-    def _non_dominated_indexes(vectors: Sequence[QoSVector]) -> List[int]:
-        """Indexes of Pareto-non-dominated vectors (O(n²), n is small)."""
-        keep: List[int] = []
-        for i, v in enumerate(vectors):
+    def _non_dominated_indexes(
+        vectors: Sequence[QoSVector],
+        names: Sequence[str],
+        table: Sequence[Tuple[Optional[float], ...]],
+    ) -> Tuple[List[int], str]:
+        """Indexes of the Pareto-non-dominated vectors, in pool order, and
+        the path that found them: ``"skyline"`` or ``"pairwise"``.
+
+        ``table`` holds each vector's values over ``names`` (None where it
+        lacks one).  When every vector carries every name, each name under
+        one direction, and no value is NaN, dominance is transitive, so a
+        sort-filter skyline (Chomicki et al., ICDE 2003) finds the front:
+        orient the rows so higher is better, visit them best-first in
+        lexicographic order (a dominator always comes before what it
+        dominates) and keep a row unless a row kept before it dominates
+        it.  Any other pool takes the O(n²) pairwise check of
+        :meth:`QoSVector.dominates`, which compares only the properties two
+        vectors share and is not transitive across mixed property sets.
+        """
+        if all(x is not None and x == x for row in table for x in row):
+            directions = [{v.property(n).direction for v in vectors} for n in names]
+            if all(len(d) == 1 for d in directions):
+                negative = [d.pop() is Direction.NEGATIVE for d in directions]
+                oriented = [
+                    tuple([-x if neg else x for neg, x in zip(negative, row)])
+                    for row in table
+                ]
+                front: List[Tuple[float, ...]] = []
+                keep: List[int] = []
+                for i in sorted(
+                    range(len(oriented)), key=oriented.__getitem__, reverse=True
+                ):
+                    row = oriented[i]
+                    for better in front:
+                        # Equal rows never dominate each other.
+                        if all(map(ge, better, row)) and better != row:
+                            break
+                    else:
+                        front.append(row)
+                        keep.append(i)
+                return sorted(keep), "skyline"
+        keep = [
+            i for i, v in enumerate(vectors)
             if not any(
                 j != i and vectors[j].dominates(v) for j in range(len(vectors))
-            ):
-                keep.append(i)
-        return keep or list(range(len(vectors)))
+            )
+        ]
+        return keep or list(range(len(vectors))), "pairwise"
 
     # ------------------------------------------------------------------
     # global phase helpers

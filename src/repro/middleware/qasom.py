@@ -229,9 +229,7 @@ class QASOM:
         served from the discovery-pool memo."""
         return discover_candidates(
             task,
-            functools.partial(
-                self.worker_state.candidates, self.snapshots.acquire()
-            ),
+            functools.partial(self.worker_state.pool, self.snapshots.acquire()),
             self.observability, self.estimator,
         )
 

@@ -22,7 +22,7 @@ serving distinct requests in an unchanged world stays bounded.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Hashable, Optional, Set
+from typing import Any, Callable, Dict, Hashable, Optional, Set, Tuple
 
 from repro.observability import core as observability_core
 
@@ -39,7 +39,8 @@ class SingleFlight:
       generation: anything that only grows, such as the registry
       generation or a ``(registry, ontology)`` pair of them.
     * A hit returns the stored value.  Values are stored untouched, so a
-      caller copies what it mutates.
+      caller copies what it mutates.  :meth:`lookup` also says whether
+      the call was a hit.
     * A caller whose key is already being computed waits on the memo's one
       :class:`threading.Condition`, then checks again.
     * A failed computation is not stored.  Its exception reaches only the
@@ -76,6 +77,14 @@ class SingleFlight:
 
     def get(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The value for ``key``, calling ``compute()`` on a miss."""
+        return self.lookup(key, compute)[0]
+
+    def lookup(
+        self, key: Hashable, compute: Callable[[], Any]
+    ) -> Tuple[Any, bool]:
+        """``(value, hit)`` for ``key``: ``hit`` is False only when this
+        call ran ``compute()``, True for a stored value or a joined
+        computation (what :attr:`coalesced` counts)."""
         with self._changed:
             self._lookups += 1
             while key in self._inflight:
@@ -88,7 +97,7 @@ class SingleFlight:
                 self._inflight.add(key)
         if hit:
             self.obs.counter(self._coalesced_counter).inc()
-            return value
+            return value, True
         returned = False
         try:
             value = compute()
@@ -101,7 +110,7 @@ class SingleFlight:
                     self._store(key, value)
                 self._changed.notify_all()
         self.obs.counter(self._computed_counter).inc()
-        return value
+        return value, False
 
     def _store(self, key: Hashable, value: Any) -> None:
         """File ``value`` under ``key`` unless its generation is stale."""

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NoCandidateError
 from repro.composition.qassa import QASSA, QassaConfig
@@ -73,8 +73,9 @@ class WorkerContext:
 
 
 def discover_candidates(task, pool, observability, estimator) -> CandidateSets:
-    """Each activity's pool from ``pool(capability)``, under its own
-    ``discovery`` span; with an ``estimator`` the services advertise their
+    """Each activity's pool from ``pool(capability)``, which returns
+    ``(services, memo_hit)``, under its own ``discovery`` span tagged
+    ``memo_hit``; with an ``estimator`` the services advertise their
     estimated effective QoS.  An empty pool raises NoCandidateError."""
     pools: Dict[str, list] = {}
     for activity in task.activities:
@@ -82,10 +83,10 @@ def discover_candidates(task, pool, observability, estimator) -> CandidateSets:
             "discovery", activity=activity.name,
             capability=activity.capability,
         ) as span:
-            services = pool(activity.capability)
+            services, memo_hit = pool(activity.capability)
             if estimator is not None:
                 services = [estimator.estimated_service(s) for s in services]
-            span.set(pool_size=len(services))
+            span.set(pool_size=len(services), memo_hit=memo_hit)
             if not services:
                 raise NoCandidateError(activity.name)
         pools[activity.name] = services
@@ -177,7 +178,7 @@ class WorkerState:
     ) -> List[CompositionPlan]:
         """Compose ``spec`` on ``snapshot``'s memoised discovery pools."""
         return compose(
-            self.selector, spec, functools.partial(self.candidates, snapshot),
+            self.selector, spec, functools.partial(self.pool, snapshot),
             self.obs, self.estimator,
         )
 
@@ -187,14 +188,22 @@ class WorkerState:
         Served from the pool memo; a miss runs semantic discovery on the
         snapshot.  Every caller gets its own list, safe to reorder.
         """
+        return self.pool(snapshot, capability)[0]
+
+    def pool(
+        self, snapshot: RegistrySnapshot, capability: str
+    ) -> Tuple[list, bool]:
+        """``(candidates(snapshot, capability), memo_hit)``: ``memo_hit``
+        is False when this lookup ran discovery."""
         degree = self.context.discovery_minimum_degree
-        return list(self.pools.get(
+        services, memo_hit = self.pools.lookup(
             (snapshot.generations, capability, degree),
             lambda: self.discovery.candidates(
                 DiscoveryQuery(capability=capability, minimum_degree=degree),
                 snapshot,
             ),
-        ))
+        )
+        return list(services), memo_hit
 
 
 def _send_error(conn, exc: Exception) -> None:

@@ -28,6 +28,7 @@ from repro.composition.request import GlobalConstraint, UserRequest
 from repro.env.scenarios import build_shopping_scenario
 from repro.experiments.fuzzing import plan_signature
 from repro.middleware.qasom import QASOM
+from repro.observability import Observability
 from repro.qos.values import QoSVector
 from repro.runtime import MiddlewareRuntime, RuntimeConfig
 from repro.services.description import ServiceDescription
@@ -249,6 +250,23 @@ class TestOneMemo:
             assert ids == expected[key]
         pools = middleware.worker_state.pools
         assert pools.lookups == pools.computed + pools.coalesced
+
+
+class TestDiscoverySpans:
+    def test_spans_tell_a_memo_hit_from_a_discovery_round(self):
+        scenario = build_shopping_scenario(services_per_activity=12, seed=7)
+        obs = Observability(clock=scenario.environment.clock)
+        middleware = QASOM.for_environment(
+            scenario.environment, scenario.properties,
+            ontology=scenario.ontology, observability=obs,
+        )
+        for _ in range(3):
+            middleware.submit(scenario.request).result()
+        spans = [span for root in obs.spans for span in root.find("discovery")]
+        hits = [span.attributes["memo_hit"] for span in spans]
+        assert hits.count(False) == 4 and hits.count(True) == 8
+        assert hits[:4] == [False] * 4
+        assert obs.metrics.value("discovery_queries_total") == 4
 
 
 class TestLazyFreshPool:
