@@ -154,10 +154,11 @@ class QASSA:
         When present, each activity's weight-free local stage (normaliser,
         extremes, Pareto pruning, k-means clusters) is reused across
         ``select()`` and ``local_selections()`` calls whenever the
-        activity's candidate pool and the relevant properties are
-        unchanged — a new weight profile only re-ranks the cached
-        clusters, and churn and fault events recompute only the activities
-        they actually touched.  Chosen compositions are identical with and
+        activity's candidate pool is in a state the cache keeps under the
+        same relevant properties — a new weight profile only re-ranks the
+        cached clusters, churn and fault events recompute only the
+        activities they actually touched, and a pool churn returns to an
+        earlier state hits again.  Chosen compositions are identical with and
         without the cache (the local phase is deterministic).
     """
 
@@ -462,7 +463,9 @@ class QASSA:
                 if self.cache is not None:
                     self.cache.store(activity_name, fingerprint, stage, context)
                     stats.cache_misses += 1
-            selection = self._weighted_stage(activity_name, stage, weights, stats)
+            selection = self._weighted_stage(
+                activity_name, services, stage, weights, stats
+            )
             span.set(
                 levels=len(selection.levels),
                 kept=len(selection.services),
@@ -479,26 +482,28 @@ class QASSA:
         relevant: Mapping[str, QoSProperty],
         stats: SelectionStatistics,
     ) -> Tuple:
-        """The part of the local phase the weights never enter: restrict
-        and normalise the candidates' QoS, record the per-property
-        extremes, prune the Pareto-dominated candidates, cluster the kept
+        """The part of the local phase the weights never enter: tabulate
+        the candidates' values over the relevant properties, take each
+        column's extremes and the local normaliser from them, prune the
+        Pareto-dominated candidates, normalise every row, cluster the kept
         ones and take their rows.
 
         Returns ``(kept, pruned, normalizer, extremes, clustering, rows)``:
-        the kept and the pruned ``(service, normalised point)`` pairs in
-        pool order, the local normaliser, the per-property ``(best,
-        worst)`` values over the whole pool, the kept points' k-means
-        result and :attr:`LocalSelection.rows`.
-        The cache shares it between requests, so nothing downstream
-        mutates it.
+        the kept and the pruned ``(pool position, normalised point)``
+        pairs in pool order, the local normaliser, the per-property
+        ``(best, worst)`` values over the whole pool, the kept points'
+        k-means result and :attr:`LocalSelection.rows`.  It names no
+        service, so the cache can serve it to any pool with the same
+        fingerprint, and each request maps the positions onto its own
+        pool.  Nothing downstream mutates it.
         """
-        vectors = [s.advertised_qos.restrict(relevant) for s in services]
-        normalizer = Normalizer.from_vectors(vectors, relevant)
         # Each candidate's values over the relevant properties in request
-        # order (None where it lacks one): the extremes, the skyline and
-        # the kept rows all read this one table.
+        # order (None where it lacks one): the spans, the extremes, the
+        # skyline, the points and the kept rows all read this one table.
         names = tuple(relevant)
+        vectors = [s.advertised_qos for s in services]
         table = [tuple([v.get(n) for n in names]) for v in vectors]
+        spans: Dict[str, Tuple[float, float]] = {}
         extremes: Dict[str, Tuple[float, float]] = {}
         for column, (pname, prop) in enumerate(relevant.items()):
             values = [row[column] for row in table if row[column] is not None]
@@ -507,20 +512,21 @@ class QASSA:
                     f"no candidate of activity {activity_name!r} advertises "
                     f"{pname!r}"
                 )
+            low, high = spans[pname] = (min(values), max(values))
             extremes[pname] = (
-                prop.direction.best(values),
-                prop.direction.worst(values),
+                (low, high) if prop.direction is Direction.NEGATIVE
+                else (high, low)
             )
+        normalizer = Normalizer(relevant, spans)
 
         with self.obs.span("qassa.prune", candidates=len(vectors)) as span:
             keep, path = self._non_dominated_indexes(vectors, names, table)
             span.set(kept=len(keep), path=path)
         kept_indexes = set(keep)
-        points = [normalizer.normalise_vector(v) for v in vectors]
-        kept = tuple((services[i], points[i]) for i in keep)
+        points = normalizer.normalise_rows(table, names)
+        kept = tuple((i, points[i]) for i in keep)
         pruned = tuple(
-            (services[i], points[i])
-            for i in range(len(services))
+            (i, points[i]) for i in range(len(services))
             if i not in kept_indexes
         )
         clustering = kmeans(
@@ -539,23 +545,24 @@ class QASSA:
     @staticmethod
     def _weighted_stage(
         activity_name: str,
+        services: Sequence[ServiceDescription],
         stage: Tuple,
         weights: Mapping[str, float],
         stats: SelectionStatistics,
     ) -> LocalSelection:
         """The part of the local phase the weights drive: SAW utilities of
         every candidate, the reserve order and the ranking of the cached
-        clusters into QoS levels."""
+        clusters into QoS levels, over ``services``, the request's pool."""
         kept, pruned, normalizer, extremes, clustering, rows = stage
         scored = [
-            (point_utility(point, weights), service) for service, point in pruned
+            (point_utility(point, weights), services[i]) for i, point in pruned
         ]
         scored.sort(key=lambda pair: -pair[0])
         utilities = [point_utility(point, weights) for _, point in kept]
         stats.utility_evaluations += len(utilities)
         return LocalSelection(
             activity_name=activity_name,
-            services=[service for service, _ in kept],
+            services=[services[i] for i, _ in kept],
             utilities=utilities,
             levels=rank_levels(clustering.clusters, utilities, weights),
             normalizer=normalizer,
@@ -575,15 +582,17 @@ class QASSA:
         the path that found them: ``"skyline"`` or ``"pairwise"``.
 
         ``table`` holds each vector's values over ``names`` (None where it
-        lacks one).  When every vector carries every name, each name under
+        lacks one); the vectors may carry other properties, which neither
+        path reads.  When every vector carries every name, each name under
         one direction, and no value is NaN, dominance is transitive, so a
         sort-filter skyline (Chomicki et al., ICDE 2003) finds the front:
         orient the rows so higher is better, visit them best-first in
         lexicographic order (a dominator always comes before what it
         dominates) and keep a row unless a row kept before it dominates
         it.  Any other pool takes the O(n²) pairwise check of
-        :meth:`QoSVector.dominates`, which compares only the properties two
-        vectors share and is not transitive across mixed property sets.
+        :meth:`QoSVector.dominates` over the vectors restricted to
+        ``names``, which compares only the properties two vectors share and
+        is not transitive across mixed property sets.
         """
         if all(x is not None and x == x for row in table for x in row):
             directions = [{v.property(n).direction for v in vectors} for n in names]
@@ -607,10 +616,12 @@ class QASSA:
                         front.append(row)
                         keep.append(i)
                 return sorted(keep), "skyline"
+        restricted = [v.restrict(names) for v in vectors]
         keep = [
-            i for i, v in enumerate(vectors)
+            i for i, v in enumerate(restricted)
             if not any(
-                j != i and vectors[j].dominates(v) for j in range(len(vectors))
+                j != i and restricted[j].dominates(v)
+                for j in range(len(restricted))
             )
         ]
         return keep or list(range(len(vectors))), "pairwise"

@@ -14,7 +14,7 @@ Design notes
 ------------
 
 * The payload is *opaque* to this module (QASSA stores its weight-free
-  stage: normaliser, extremes, kept and pruned candidates with their
+  stage: normaliser, extremes, kept and pruned pool positions with their
   normalised points, k-means clusters) so the cache carries no import
   dependency on the selector — the selector depends on the cache, never
   the reverse.  Payloads are shared by every later run that hits them, so
@@ -29,11 +29,18 @@ Design notes
   relevant (in the request's order, which the cached normaliser and value
   rows keep) and the k-means seed.  The user's weights and the
   aggregation approach are not part of it: the weight-free stage never
-  reads them.  :meth:`lookup` and :meth:`store` take the hashable context:
-  a lookup under another context misses, a store under a new one flushes
-  the whole cache.  Within one context, cached results are byte-equal to
-  recomputed ones because the stage is deterministic (seeded k-means,
-  stable sorts).
+  reads them.  :meth:`lookup` and :meth:`store` take the hashable context;
+  within one context, cached results are byte-equal to recomputed ones
+  because the stage is deterministic (seeded k-means, stable sorts).
+* Churn keeps returning a pool to states it held before: a provider
+  leaves, then rejoins.  So each ``(activity, context)`` keeps up to
+  :data:`STATES_PER_POOL` pool states, most recent first, and a lookup
+  compares its fingerprint with each by ``==`` (equal tuples of the same
+  service objects compare by identity; hashing one would sort every
+  ``QoSVector``'s items).  Contexts live side by side, so requests over
+  other relevant properties do not flush each other.  At most
+  :data:`CAPACITY` ``(activity, context)`` keys are kept, the least
+  recently used dropped first.
 * Every method holds the cache's lock, so a middleware's serial submits
   and its thread runtime's workers share one cache whatever their
   contexts.  Substitution does not read it: each plan carries its
@@ -44,28 +51,39 @@ Design notes
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.services.description import ServiceDescription
 
 #: One candidate set's identity: ``(service_id, advertised_qos)`` per
-#: service, in pool order.  ``QoSVector`` is hashable and value-compares,
-#: so a provider refreshing its advertised QoS changes the fingerprint.
+#: service, in pool order.  ``QoSVector`` value-compares, so a provider
+#: refreshing its advertised QoS changes the fingerprint.
 Fingerprint = Tuple[Tuple[str, Any], ...]
+
+#: Pool states kept per ``(activity, context)``, most recent first.
+STATES_PER_POOL = 8
+#: ``(activity, context)`` keys kept, least recently used dropped first.
+CAPACITY = 64
 
 
 class SelectionCache:
     """Per-activity memo of local-phase results across selection runs."""
 
     def __init__(self) -> None:
-        self._entries: Dict[str, Tuple[Fingerprint, Any]] = {}
-        self._context: Optional[Any] = None  # the context of every entry
+        # (activity, context) -> [(fingerprint, payload), ...], most
+        # recent state first; the dict runs least recently used key first.
+        self._entries: "OrderedDict[Tuple[str, Any], List[Tuple]]" = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Pool states held, over every activity and context."""
+        with self._lock:
+            return sum(len(states) for states in self._entries.values())
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -77,12 +95,18 @@ class SelectionCache:
         self, activity_name: str, fingerprint: Fingerprint, context: Any
     ) -> Optional[Any]:
         """The payload stored for ``activity_name`` under ``context`` and
-        an unchanged candidate pool, else None."""
+        a pool state equal to ``fingerprint``, else None."""
+        key = (activity_name, context)
         with self._lock:
-            entry = self._entries.get(activity_name)
-            if context == self._context and entry and entry[0] == fingerprint:
-                self.hits += 1
-                return entry[1]
+            states = self._entries.get(key)
+            if states is not None:
+                self._entries.move_to_end(key)
+                for position, state in enumerate(states):
+                    if state[0] == fingerprint:
+                        if position:
+                            states.insert(0, states.pop(position))
+                        self.hits += 1
+                        return state[1]
             self.misses += 1
             return None
 
@@ -90,12 +114,20 @@ class SelectionCache:
         self, activity_name: str, fingerprint: Fingerprint, payload: Any,
         context: Any,
     ) -> None:
-        """Keep ``payload`` for ``activity_name``'s pool under ``context``,
-        first flushing the entries of any other context: results computed
-        under another context (other relevant properties or seed) are not
-        comparable, let alone reusable."""
+        """Keep ``payload`` as ``activity_name``'s most recent pool state
+        under ``context``, dropping the oldest state past
+        :data:`STATES_PER_POOL` and the least recently used key past
+        :data:`CAPACITY`."""
+        key = (activity_name, context)
         with self._lock:
-            if context != self._context:
-                self._entries.clear()
-                self._context = context
-            self._entries[activity_name] = (fingerprint, payload)
+            states = self._entries.get(key)
+            if states is None:
+                states = self._entries[key] = []
+                if len(self._entries) > CAPACITY:
+                    self._entries.popitem(last=False)
+            else:
+                self._entries.move_to_end(key)
+                # Two racing misses store the same state: keep one.
+                states[:] = [s for s in states if s[0] != fingerprint]
+            states.insert(0, (fingerprint, payload))
+            del states[STATES_PER_POOL:]

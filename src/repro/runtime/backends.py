@@ -10,16 +10,21 @@ commit, coalescing and supervision; *where* the CPU-bound composition step
   threads.  Cheapest dispatch, but pure-Python selection serialises on
   the GIL.
 * :class:`ProcessBackend` — composition is shipped to a pool of spawned
-  worker processes, one pipe channel each.  Workers deserialise a pickled
-  :class:`~repro.services.registry.RegistrySnapshot` once per registry
-  generation and recompose on it, and are re-primed with the task
-  ontology whenever a request's snapshot carries a newer ontology
-  generation than the one the worker last received; returned plans are
-  rehydrated onto the parent's own service objects, and the runtime's
-  ordered commit (by admission ticket) keeps pooled==serial
-  byte-identity.  Cross-layer estimation reads live device/link state a
-  worker process cannot see, so this backend refuses it with
-  :class:`~repro.errors.UnsupportedBackendFeatureError` at construction.
+  worker processes, one pipe channel each.  Each channel keeps the
+  :class:`~repro.services.registry.RegistrySnapshot` it last shipped, of
+  which its worker holds a copy, and every message on it is pickled
+  against that snapshot
+  (:func:`~repro.runtime.process_worker.dumps`): a worker is sent a new
+  snapshot once per registry generation, carrying in full only the
+  services the old one did not hold, and its replies name services by id,
+  so returned plans arrive on the parent's own service objects.  Workers
+  are re-primed with the task ontology whenever a request's snapshot
+  carries a newer ontology generation than the one the worker last
+  received; the runtime's ordered commit (by admission ticket) keeps
+  pooled==serial byte-identity.  Cross-layer estimation reads live
+  device/link state a worker process cannot see, so this backend refuses
+  it with :class:`~repro.errors.UnsupportedBackendFeatureError` at
+  construction.
 
 Both compose through :class:`~repro.runtime.process_worker.WorkerState`
 — the middleware's own, which its serial submits and every worker thread
@@ -37,11 +42,11 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
-from typing import TYPE_CHECKING, List, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import UnsupportedBackendFeatureError, WorkerProcessCrash
-from repro.composition.selection import CompositionPlan, SelectedActivity
-from repro.runtime.process_worker import worker_main
+from repro.composition.selection import CompositionPlan
+from repro.runtime.process_worker import dumps, loads, worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.handle import RunSpec
@@ -106,14 +111,24 @@ class ThreadBackend:
 class _WorkerChannel:
     """One worker process plus the parent's pipe end to it."""
 
-    __slots__ = ("process", "conn", "generation", "ontology_generation")
+    __slots__ = ("process", "conn", "snapshot", "ontology_generation")
 
     def __init__(self, process, conn, ontology_generation: int) -> None:
         self.process = process
         self.conn = conn
-        self.generation: int = -1  # no snapshot shipped yet
+        #: The snapshot last shipped, which the worker holds a copy of;
+        #: None until the first ships.
+        self.snapshot: "Optional[RegistrySnapshot]" = None
         #: The task ontology generation the worker was last primed with.
         self.ontology_generation = ontology_generation
+
+    def send(self, message) -> None:
+        """Send ``message`` pickled against the worker's snapshot."""
+        self.conn.send_bytes(dumps(message, self.snapshot))
+
+    def recv(self):
+        """The worker's next reply, its services resolved to ours."""
+        return loads(self.conn.recv_bytes(), self.snapshot)
 
 
 class ProcessBackend:
@@ -121,11 +136,12 @@ class ProcessBackend:
 
     Channels live in a queue: a runtime worker thread checks one out,
     re-primes the worker if its task ontology is older than the
-    snapshot's stamp, ships the snapshot if the worker's registry view is
-    stale, sends the compose order, blocks on the reply (GIL released),
-    and checks the channel back in.  The ``spawn`` start method keeps
-    children free of inherited locks/threads, at the price of an
-    interpreter start per worker — amortised over the runtime's lifetime.
+    snapshot's stamp, ships the snapshot (pickled against the one it
+    replaces) if the worker's registry view is stale, sends the compose
+    order, blocks on the reply (GIL released), and checks the channel
+    back in.  The ``spawn`` start method keeps children free of inherited
+    locks/threads, at the price of an interpreter start per worker —
+    amortised over the runtime's lifetime.
     """
 
     name = "process"
@@ -161,7 +177,7 @@ class ProcessBackend:
         self._stopped = True
         for channel in self._channels:
             try:
-                channel.conn.send(("exit",))
+                channel.send(("exit",))
             except (OSError, ValueError):
                 pass  # already dead; reaped below
         leaked = 0
@@ -185,13 +201,14 @@ class ProcessBackend:
         broken = False
         try:
             if channel.ontology_generation < snapshot.ontology_generation:
-                channel.conn.send(("context", self._context))
+                channel.send(("context", self._context))
                 channel.ontology_generation = snapshot.ontology_generation
-            if channel.generation != snapshot.generation:
-                channel.conn.send(("snapshot", snapshot))
-                channel.generation = snapshot.generation
-            channel.conn.send(("compose", spec))
-            reply = channel.conn.recv()
+            shipped = channel.snapshot
+            if shipped is None or shipped.generation != snapshot.generation:
+                channel.send(("snapshot", snapshot))
+                channel.snapshot = snapshot
+            channel.send(("compose", spec))
+            reply = channel.recv()
         except (EOFError, OSError) as exc:
             broken = True
             raise WorkerProcessCrash(
@@ -206,7 +223,12 @@ class ProcessBackend:
                 self._pool.put(channel)
         kind = reply[0]
         if kind == "ok":
-            return [self._rehydrate(p, spec, snapshot) for p in reply[1]]
+            plans = reply[1]
+            for plan in plans:
+                # Execution and plan-key identity need the parent's task
+                # and request; the services already are the parent's.
+                plan.task, plan.request = spec.request.task, spec.request
+            return plans
         if kind == "error":
             raise reply[1]
         raise WorkerProcessCrash(
@@ -229,7 +251,7 @@ class ProcessBackend:
         channel = _WorkerChannel(
             process, parent_conn, self.runtime.snapshots.ontology_generation
         )
-        channel.conn.send(("context", self._context))
+        channel.send(("context", self._context))
         self._channels.append(channel)
         return channel
 
@@ -247,38 +269,6 @@ class ProcessBackend:
         ).inc()
         if not self._stopped:
             self._pool.put(self._spawn())
-
-    def _rehydrate(
-        self, plan: CompositionPlan, spec, snapshot
-    ) -> CompositionPlan:
-        """Re-anchor a child-composed plan on parent-owned objects.
-
-        The child worked on pickled copies; execution, liveness checks and
-        plan-key identity on the parent side need the parent's task,
-        request and :class:`ServiceDescription` instances, which are
-        recovered by service id through the very snapshot the child
-        composed against.
-        """
-        request = spec.request
-        selections = {}
-        for name, sel in plan.selections.items():
-            services = []
-            for service in sel.services:
-                local = snapshot.get(service.service_id)
-                services.append(local if local is not None else service)
-            selections[name] = SelectedActivity(
-                name, services, normalizer=sel.normalizer
-            )
-        return CompositionPlan(
-            task=request.task,
-            request=request,
-            selections=selections,
-            aggregated_qos=plan.aggregated_qos,
-            utility=plan.utility,
-            feasible=plan.feasible,
-            approach=plan.approach,
-            statistics=plan.statistics,
-        )
 
 
 def build_backend(runtime: "MiddlewareRuntime") -> ExecutionBackend:

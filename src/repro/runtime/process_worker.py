@@ -3,16 +3,26 @@
 A worker process is a tiny request-reply server over one
 :mod:`multiprocessing` pipe.  The parent primes it with a
 :class:`WorkerContext` (the picklable slice of middleware configuration
-composition needs, the task ontology included), ships a pickled
+composition needs, the task ontology included), ships a
 :class:`~repro.services.registry.RegistrySnapshot` once per registry
 generation, and then sends one ``("compose", RunSpec)`` message per
 request.  The child composes with a :class:`WorkerState` of its own —
 the class serial submits and thread-backend workers share: memoised
 discovery against the snapshot, a QASSA selector, and :func:`compose` —
 and returns the finished
-:class:`~repro.composition.selection.CompositionPlan` list, which the
-parent rehydrates onto its own service objects (see
-:meth:`repro.runtime.backends.ProcessBackend._rehydrate`).
+:class:`~repro.composition.selection.CompositionPlan` list.
+
+Both ends pickle every message with :func:`dumps` and read it with
+:func:`loads`, against the snapshot the two ends share: the one the
+parent last shipped to this worker, of which the worker holds its copy.
+A :class:`~repro.services.description.ServiceDescription` that snapshot
+holds travels as its service id and loads as the receiver's own object.
+So a new snapshot carries in full only the services its predecessor did
+not hold (new, rejoined or republished ones), and a reply names its
+plans' services by id, which load as the parent's own objects.  The
+worker's snapshot, and with it every service it kept, survives an
+ontology re-prime; a respawned worker starts from none and gets a full
+snapshot.
 
 Determinism across the pickle boundary is load-bearing: discovery iterates
 capabilities in sorted order and snapshots index candidates as materialised
@@ -25,14 +35,15 @@ Messages (all tuples, first element is the kind):
 ``("context", WorkerContext)``
     Fire-and-forget; must precede any compose.  Sent again when the
     parent's task ontology changed since the last one: the child rebuilds
-    its state (pool memo, match cache, selector) on the new ontology.
+    its state (pool memo, match cache, selector) on the new ontology and
+    keeps its snapshot.
 ``("snapshot", RegistrySnapshot)``
     Fire-and-forget; replaces the worker's world view.
 ``("compose", RunSpec)``
     Request-reply; answered with ``("ok", [CompositionPlan, ...])`` or
     ``("error", exception)`` (``("error_opaque", type_name, message)``
     when the exception itself does not pickle).  A reply that does not
-    pickle is answered with the error its send raised.
+    pickle is answered with the error its pickling raised.
 ``("exit",)``
     Clean shutdown.
 """
@@ -40,8 +51,10 @@ Messages (all tuples, first element is the kind):
 from __future__ import annotations
 
 import functools
+import io
+import pickle
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NoCandidateError
 from repro.composition.qassa import QASSA, QassaConfig
@@ -53,6 +66,7 @@ from repro.qos.properties import QoSProperty
 from repro.runtime.batching import SingleFlight
 from repro.semantics.matching import MatchCache, MatchDegree
 from repro.semantics.ontology import Ontology
+from repro.services.description import ServiceDescription
 from repro.services.discovery import DiscoveryQuery, QoSAwareDiscovery
 from repro.services.registry import RegistrySnapshot
 
@@ -206,16 +220,73 @@ class WorkerState:
         return list(services), memo_hit
 
 
-def _send_error(conn, exc: Exception) -> None:
+class _Pickler(pickle.Pickler):
+    """Pickles each service ``snapshot`` holds, that very object, as its
+    service id."""
+
+    def __init__(self, file, snapshot) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.snapshot = snapshot
+
+    def persistent_id(self, obj) -> Optional[str]:
+        if (
+            isinstance(obj, ServiceDescription)
+            and self.snapshot.get(obj.service_id) is obj
+        ):
+            return obj.service_id
+        return None
+
+
+class _Unpickler(pickle.Unpickler):
+    """Loads each service id through ``snapshot``, the receiver's copy of
+    the snapshot the message was pickled against."""
+
+    def __init__(self, file, snapshot) -> None:
+        super().__init__(file)
+        self.snapshot = snapshot
+
+    def persistent_load(self, service_id: str) -> ServiceDescription:
+        service = (
+            None if self.snapshot is None else self.snapshot.get(service_id)
+        )
+        if service is None:
+            raise pickle.UnpicklingError(
+                f"service {service_id!r} is not in the receiver's snapshot"
+            )
+        return service
+
+
+def dumps(message: Any, snapshot: Optional[RegistrySnapshot]) -> bytes:
+    """``message`` pickled against ``snapshot``: every
+    :class:`ServiceDescription` the snapshot holds (the very object, not
+    an equal one) travels as its service id, everything else in full.
+    With no snapshot, everything travels in full."""
+    if snapshot is None:
+        return pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    buffer = io.BytesIO()
+    _Pickler(buffer, snapshot).dump(message)
+    return buffer.getvalue()
+
+
+def loads(data: bytes, snapshot: Optional[RegistrySnapshot]) -> Any:
+    """The message :func:`dumps` pickled against the sender's copy of
+    ``snapshot``, its service ids resolved through ``snapshot`` when the
+    message names one.  An id ``snapshot`` lacks raises
+    :class:`pickle.UnpicklingError`."""
+    return _Unpickler(io.BytesIO(data), snapshot).load()
+
+
+def _send_error(conn, exc: Exception, snapshot) -> None:
     """Reply ``("error", exc)``, degrading to opaque transport.
 
-    ``Connection.send`` pickles the whole message before it writes a
-    byte, so a send that raises leaves the stream clean for the next one.
+    A message is pickled whole before its first byte is written, so a
+    pickling failure leaves the stream clean for the next one.
     """
     try:
-        conn.send(("error", exc))
+        data = dumps(("error", exc), snapshot)
     except Exception:  # noqa: BLE001 - any pickle failure degrades
-        conn.send(("error_opaque", type(exc).__name__, str(exc)))
+        data = dumps(("error_opaque", type(exc).__name__, str(exc)), None)
+    conn.send_bytes(data)
 
 
 def worker_main(conn) -> None:
@@ -225,7 +296,7 @@ def worker_main(conn) -> None:
     try:
         while True:
             try:
-                message = conn.recv()
+                message = loads(conn.recv_bytes(), snapshot)
             except EOFError:
                 return  # parent went away; nothing left to serve
             kind = message[0]
@@ -237,9 +308,13 @@ def worker_main(conn) -> None:
                 try:
                     if state is None or snapshot is None:
                         raise RuntimeError("compose before context/snapshot")
-                    conn.send(("ok", state.compose(message[1], snapshot)))
+                    data = dumps(
+                        ("ok", state.compose(message[1], snapshot)), snapshot
+                    )
                 except Exception as exc:  # noqa: BLE001 - shipped to parent
-                    _send_error(conn, exc)
+                    _send_error(conn, exc, snapshot)
+                else:
+                    conn.send_bytes(data)
             elif kind == "exit":
                 return
     finally:
