@@ -36,9 +36,8 @@ pattern (the composition waits for the slowest branch) whereas resources
 the property's unit dimension.
 
 Every aggregation runs through :class:`CompiledAggregation`, a tree
-compiled once into a fold over per-activity value rows; selectors compile
-one per selection, :func:`aggregate_composition` takes its fold from a
-small memo, and the other functions below compile one per call.
+compiled once into a fold over per-activity value rows; the functions
+below compile one per call, selectors one per selection.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ import enum
 import functools
 import math
 import operator
-import threading
-from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Sequence as Seq, Tuple
 
 from repro.errors import AggregationError
@@ -283,41 +280,6 @@ def aggregate_values(
     }))[0]
 
 
-#: Compiled folds :func:`_compiled` keeps, least recently used dropped
-#: first.
-FOLD_MEMO_CAPACITY = 16
-_folds: "OrderedDict[tuple, tuple]" = OrderedDict()
-_folds_lock = threading.Lock()
-
-
-def _compiled(
-    node: Node,
-    properties: Mapping[str, QoSProperty],
-    approach: AggregationApproach,
-) -> CompiledAggregation:
-    """``CompiledAggregation(node, properties, approach)`` from a memo
-    keyed on the node by identity (each entry holds its node, so no other
-    node can take its id), the property names and the approach; the
-    properties themselves must be equal too.  Pattern trees are
-    immutable, and a fold is a pure function, so one serves every thread.
-    Folds hold closures: never store one on anything that is pickled,
-    such as a plan."""
-    key = (id(node), tuple(properties), approach)
-    props = tuple(properties.values())
-    with _folds_lock:
-        entry = _folds.get(key)
-        if entry is not None and entry[1] == props:
-            _folds.move_to_end(key)
-            return entry[2]
-    aggregation = CompiledAggregation(node, properties, approach)
-    with _folds_lock:
-        _folds[key] = (node, props, aggregation)
-        _folds.move_to_end(key)
-        if len(_folds) > FOLD_MEMO_CAPACITY:
-            _folds.popitem(last=False)
-    return aggregation
-
-
 def aggregate_composition(
     task: Task,
     assignments: Mapping[str, QoSVector],
@@ -328,11 +290,11 @@ def aggregate_composition(
 
     ``assignments`` maps each activity name to the QoS vector of its bound
     service (advertised or observed); the result is the composition's
-    ``QoS_Cv`` vector over ``properties``.  Substitution, rebinding and
-    global monitoring call it over and over on one task, so the fold comes
-    from a small memo rather than a compile per call.
+    ``QoS_Cv`` vector over ``properties``.
     """
-    return _compiled(task.root, properties, approach).aggregate(assignments)
+    return CompiledAggregation(task.root, properties, approach).aggregate(
+        assignments
+    )
 
 
 def aggregation_bounds(

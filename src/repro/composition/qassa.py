@@ -482,10 +482,9 @@ class QASSA:
         relevant: Mapping[str, QoSProperty],
         stats: SelectionStatistics,
     ) -> Tuple:
-        """The part of the local phase the weights never enter: tabulate
-        the candidates' values over the relevant properties, take each
-        column's extremes and the local normaliser from them, prune the
-        Pareto-dominated candidates, normalise every row, cluster the kept
+        """The part of the local phase the weights never enter: restrict
+        and normalise the candidates' QoS, record the per-property
+        extremes, prune the Pareto-dominated candidates, cluster the kept
         ones and take their rows.
 
         Returns ``(kept, pruned, normalizer, extremes, clustering, rows)``:
@@ -497,13 +496,13 @@ class QASSA:
         fingerprint, and each request maps the positions onto its own
         pool.  Nothing downstream mutates it.
         """
+        vectors = [s.advertised_qos.restrict(relevant) for s in services]
+        normalizer = Normalizer.from_vectors(vectors, relevant)
         # Each candidate's values over the relevant properties in request
-        # order (None where it lacks one): the spans, the extremes, the
-        # skyline, the points and the kept rows all read this one table.
+        # order (None where it lacks one): the extremes, the skyline and
+        # the kept rows all read this one table.
         names = tuple(relevant)
-        vectors = [s.advertised_qos for s in services]
         table = [tuple([v.get(n) for n in names]) for v in vectors]
-        spans: Dict[str, Tuple[float, float]] = {}
         extremes: Dict[str, Tuple[float, float]] = {}
         for column, (pname, prop) in enumerate(relevant.items()):
             values = [row[column] for row in table if row[column] is not None]
@@ -512,18 +511,16 @@ class QASSA:
                     f"no candidate of activity {activity_name!r} advertises "
                     f"{pname!r}"
                 )
-            low, high = spans[pname] = (min(values), max(values))
             extremes[pname] = (
-                (low, high) if prop.direction is Direction.NEGATIVE
-                else (high, low)
+                prop.direction.best(values),
+                prop.direction.worst(values),
             )
-        normalizer = Normalizer(relevant, spans)
 
         with self.obs.span("qassa.prune", candidates=len(vectors)) as span:
             keep, path = self._non_dominated_indexes(vectors, names, table)
             span.set(kept=len(keep), path=path)
         kept_indexes = set(keep)
-        points = normalizer.normalise_rows(table, names)
+        points = [normalizer.normalise_vector(v) for v in vectors]
         kept = tuple((i, points[i]) for i in keep)
         pruned = tuple(
             (i, points[i]) for i in range(len(services))
@@ -582,17 +579,15 @@ class QASSA:
         the path that found them: ``"skyline"`` or ``"pairwise"``.
 
         ``table`` holds each vector's values over ``names`` (None where it
-        lacks one); the vectors may carry other properties, which neither
-        path reads.  When every vector carries every name, each name under
+        lacks one).  When every vector carries every name, each name under
         one direction, and no value is NaN, dominance is transitive, so a
         sort-filter skyline (Chomicki et al., ICDE 2003) finds the front:
         orient the rows so higher is better, visit them best-first in
         lexicographic order (a dominator always comes before what it
         dominates) and keep a row unless a row kept before it dominates
         it.  Any other pool takes the O(n²) pairwise check of
-        :meth:`QoSVector.dominates` over the vectors restricted to
-        ``names``, which compares only the properties two vectors share and
-        is not transitive across mixed property sets.
+        :meth:`QoSVector.dominates`, which compares only the properties two
+        vectors share and is not transitive across mixed property sets.
         """
         if all(x is not None and x == x for row in table for x in row):
             directions = [{v.property(n).direction for v in vectors} for n in names]
@@ -616,12 +611,10 @@ class QASSA:
                         front.append(row)
                         keep.append(i)
                 return sorted(keep), "skyline"
-        restricted = [v.restrict(names) for v in vectors]
         keep = [
-            i for i, v in enumerate(restricted)
+            i for i, v in enumerate(vectors)
             if not any(
-                j != i and restricted[j].dominates(v)
-                for j in range(len(restricted))
+                j != i and vectors[j].dominates(v) for j in range(len(vectors))
             )
         ]
         return keep or list(range(len(vectors))), "pairwise"

@@ -39,8 +39,10 @@ Design notes
   service objects compare by identity; hashing one would sort every
   ``QoSVector``'s items).  Contexts live side by side, so requests over
   other relevant properties do not flush each other.  At most
-  :data:`CAPACITY` ``(activity, context)`` keys are kept, the least
-  recently used dropped first.
+  :data:`CAPACITY` pool states are kept in all, the oldest states of the
+  least recently used key dropped first: a state holds a normalised point
+  per candidate, so the memory the cache can hold is :data:`CAPACITY`
+  times its largest pool's state.
 * Every method holds the cache's lock, so a middleware's serial submits
   and its thread runtime's workers share one cache whatever their
   contexts.  Substitution does not read it: each plan carries its
@@ -61,9 +63,13 @@ from repro.services.description import ServiceDescription
 #: refreshing its advertised QoS changes the fingerprint.
 Fingerprint = Tuple[Tuple[str, Any], ...]
 
-#: Pool states kept per ``(activity, context)``, most recent first.
+#: Pool states kept per ``(activity, context)``, most recent first
+#: (docs/PERFORMANCE.md has the measurements behind the depth).
 STATES_PER_POOL = 8
-#: ``(activity, context)`` keys kept, least recently used dropped first.
+#: Pool states kept in all, a safety limit on memory: the benchmark's
+#: workloads use 4 keys of one context (32 states under churn), and 64
+#: also fits two contexts under churn.  A state holds a normalised point
+#: per candidate, about 0.6 MB on a 1000-service pool.
 CAPACITY = 64
 
 
@@ -116,18 +122,25 @@ class SelectionCache:
     ) -> None:
         """Keep ``payload`` as ``activity_name``'s most recent pool state
         under ``context``, dropping the oldest state past
-        :data:`STATES_PER_POOL` and the least recently used key past
-        :data:`CAPACITY`."""
+        :data:`STATES_PER_POOL`, then the least recently used key's oldest
+        states while more than :data:`CAPACITY` are held."""
         key = (activity_name, context)
         with self._lock:
             states = self._entries.get(key)
             if states is None:
                 states = self._entries[key] = []
-                if len(self._entries) > CAPACITY:
-                    self._entries.popitem(last=False)
             else:
                 self._entries.move_to_end(key)
                 # Two racing misses store the same state: keep one.
                 states[:] = [s for s in states if s[0] != fingerprint]
             states.insert(0, (fingerprint, payload))
             del states[STATES_PER_POOL:]
+            # The stored key is the most recent and holds at most
+            # STATES_PER_POOL states, so this never drops what it stored.
+            held = sum(len(s) for s in self._entries.values())
+            while held > CAPACITY:
+                oldest_key, oldest = next(iter(self._entries.items()))
+                oldest.pop()
+                if not oldest:
+                    del self._entries[oldest_key]
+                held -= 1

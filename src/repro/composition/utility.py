@@ -20,7 +20,7 @@ Two normaliser scopes exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import QoSModelError
 from repro.qos.properties import Direction, QoSProperty
@@ -121,28 +121,12 @@ class Normalizer:
             if name in position
         ]
 
-    def normalise_rows(
-        self, table: Iterable[Sequence[Optional[float]]], order: Sequence[str]
-    ) -> List[Dict[str, float]]:
-        """Each row of ``table`` as a point: the row holds ``order``'s
-        values (None where its vector lacks one), the point maps each
-        spanned property the row has a value for, in span order, to
-        :meth:`normalise` of that value.  Each span's terms are looked up
-        once for the whole table."""
-        position = {name: i for i, name in enumerate(order)}
-        terms = [
-            (name, position[name], *self._term(name))
+    def normalise_vector(self, vector: QoSVector) -> Dict[str, float]:
+        return {
+            name: self.normalise(name, vector[name])
             for name in self._spans
-            if name in position
-        ]
-        return [
-            {
-                name: _normalised(row[i], low, high, negative)
-                for name, i, low, high, negative in terms
-                if row[i] is not None
-            }
-            for row in table
-        ]
+            if name in vector
+        }
 
 
 def _normalised(value: float, low: float, high: float, negative: bool) -> float:
@@ -196,7 +180,7 @@ def service_utility(
 
 
 def point_utility(point: Mapping[str, float], weights: Mapping[str, float]) -> float:
-    """SAW utility of a point :meth:`Normalizer.normalise_rows` returned.
+    """SAW utility of a point :meth:`Normalizer.normalise_vector` returned.
 
     The same terms, summed in the same order, as :func:`service_utility`
     over the vector the point came from (when every weighted property has

@@ -21,7 +21,6 @@ from repro.qos.properties import (
     QoSProperty,
 )
 from repro.qos.values import QoSVector
-from repro.composition import aggregation
 from repro.composition.aggregation import (
     AggregationApproach,
     _conditional,
@@ -278,80 +277,6 @@ class TestVectorAggregation:
         best, worst = aggregation_bounds(task, RESPONSE_TIME, extremes)
         assert best == 30.0
         assert worst == 130.0
-
-
-class TestCompiledFoldMemo:
-    """``aggregate_composition`` compiles a fold once per task root (by
-    identity), property names and definitions, and approach, and keeps at
-    most ``FOLD_MEMO_CAPACITY`` of them."""
-
-    PROPS = {"response_time": RESPONSE_TIME, "availability": AVAILABILITY}
-
-    def assignments(self, task, scale=1.0):
-        return {
-            a.name: QoSVector(
-                {"response_time": 100.0 * scale * (i + 1),
-                 "availability": 0.9 - 0.1 * i},
-                self.PROPS,
-            )
-            for i, a in enumerate(task.activities)
-        }
-
-    #: The class itself, before a test counts its constructions.
-    COMPILED = aggregation.CompiledAggregation
-
-    @pytest.fixture
-    def compiles(self, monkeypatch):
-        calls = []
-
-        def counted(node, properties, approach):
-            calls.append(node)
-            return self.COMPILED(node, properties, approach)
-
-        monkeypatch.setattr(aggregation, "CompiledAggregation", counted)
-        return calls
-
-    def test_repeated_calls_compile_once(self, compiles):
-        task = Task("t", parallel(leaf("A"), sequence(leaf("B"), leaf("C"))))
-        for scale in (1.0, 2.0, 3.0):
-            assignments = self.assignments(task, scale)
-            assert aggregate_composition(
-                task, assignments, self.PROPS
-            ) == self.COMPILED(task.root, self.PROPS).aggregate(assignments)
-        assert len(compiles) == 1
-        # Another approach, another root or other definitions under the
-        # same names each compile their own fold.
-        aggregate_composition(
-            task, self.assignments(task), self.PROPS,
-            AggregationApproach.OPTIMISTIC,
-        )
-        twin = Task("t", parallel(leaf("A"), sequence(leaf("B"), leaf("C"))))
-        aggregate_composition(twin, self.assignments(twin), self.PROPS)
-        slow_up = QoSProperty(
-            "response_time", RESPONSE_TIME.uri, Direction.POSITIVE,
-            RESPONSE_TIME.aggregation, RESPONSE_TIME.unit,
-            RESPONSE_TIME.value_range,
-        )
-        other = {"response_time": slow_up, "availability": AVAILABILITY}
-        assert aggregate_composition(task, {
-            name: QoSVector(dict(vector.items()), other)
-            for name, vector in self.assignments(task).items()
-        }, other)["response_time"] == 500.0
-        assert len(compiles) == 4
-
-    def test_the_memo_is_bounded(self, compiles):
-        tasks = [
-            Task(f"t{i}", sequence(leaf("A"), leaf("B")))
-            for i in range(aggregation.FOLD_MEMO_CAPACITY + 2)
-        ]
-        for task in tasks:
-            aggregate_composition(task, self.assignments(task), self.PROPS)
-        assert len(aggregation._folds) <= aggregation.FOLD_MEMO_CAPACITY
-        # The most recent roots are still held; the oldest was dropped.
-        aggregate_composition(tasks[-1], self.assignments(tasks[-1]), self.PROPS)
-        assert len(compiles) == len(tasks)
-        aggregate_composition(tasks[0], self.assignments(tasks[0]), self.PROPS)
-        assert len(compiles) == len(tasks) + 1
 
 
 @settings(max_examples=60, deadline=None)

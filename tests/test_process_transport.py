@@ -336,7 +336,7 @@ class TestCacheKeepsSeveralStates:
         assert cache.lookup("A", prints[2], "ctx") == 2
         assert cache.lookup("A", prints[3], "ctx") is None
 
-    def test_keys_are_bounded_least_recently_used_first(self):
+    def test_states_are_bounded_least_recently_used_key_first(self):
         cache = SelectionCache()
         capacity = selection_cache.CAPACITY
         fingerprint = (("svc", 0),)
@@ -348,3 +348,28 @@ class TestCacheKeepsSeveralStates:
         assert cache.lookup("A", fingerprint, ("ctx", 1)) is None
         assert cache.lookup("A", fingerprint, ("ctx", 0)) == 0
         assert cache.lookup("A", fingerprint, ("ctx", "new")) == "one more"
+
+    def test_the_bound_counts_states_not_keys(self, monkeypatch):
+        monkeypatch.setattr(selection_cache, "STATES_PER_POOL", 3)
+        monkeypatch.setattr(selection_cache, "CAPACITY", 7)
+        cache = SelectionCache()
+        prints = [(("svc", i),) for i in range(3)]
+        for key in ("A", "B"):
+            for i, fingerprint in enumerate(prints):
+                cache.store(key, fingerprint, (key, i), "ctx")
+        cache.store("C", prints[0], ("C", 0), "ctx")
+        assert len(cache) == 7
+        # One more state: the least recently used key, A, loses its
+        # oldest one.
+        cache.store("C", prints[1], ("C", 1), "ctx")
+        assert len(cache) == 7
+        assert cache.lookup("A", prints[0], "ctx") is None
+        assert cache.lookup("A", prints[2], "ctx") == ("A", 2)
+        # B is now the least recently used; a key it drains goes too.
+        cache.store("D", prints[0], ("D", 0), "ctx")
+        cache.store("D", prints[1], ("D", 1), "ctx")
+        cache.store("D", prints[2], ("D", 2), "ctx")
+        assert len(cache) == 7
+        assert all(cache.lookup("B", p, "ctx") is None for p in prints)
+        assert cache.lookup("A", prints[1], "ctx") == ("A", 1)
+        assert cache.lookup("D", prints[0], "ctx") == ("D", 0)
