@@ -34,7 +34,10 @@ QASSA and :class:`~repro.composition.exact.ExactSelection`:
   near-misses.
 
 Every returned plan's ``feasible`` flag is always consistent with
-``request.satisfied_by(plan.aggregated_qos)``.
+``request.satisfied_by(plan.aggregated_qos)``.  For the four baselines and
+the exact oracle one place enforces it, ``_BaseSelector.select``: each
+selector only searches, and ``select`` turns the best feasible and the best
+overall assignment found into a plan or the selector's error.
 """
 
 from __future__ import annotations
@@ -42,15 +45,15 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
+from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
-from repro.composition.aggregation import (
-    AggregationApproach,
-    CompiledAggregation,
-)
+from repro.composition.aggregation import AggregationApproach
 from repro.composition.request import UserRequest
 from repro.composition.selection import (
     CandidateSets,
@@ -58,14 +61,43 @@ from repro.composition.selection import (
     SelectedActivity,
     SelectionStatistics,
     evaluate_assignment,
-    make_global_normalizer,
+    global_scoring,
     relevant_properties,
 )
 from repro.composition.utility import Normalizer, service_utility
 
+#: One scored assignment: ``(utility, assignment, aggregated QoS)``.
+_Scored = Tuple[float, Dict[str, ServiceDescription], QoSVector]
+#: A search's ``(best feasible, best overall)`` assignments, None if none.
+_Found = Tuple[Optional[_Scored], Optional[_Scored]]
+
+
+def _first_maxima(scored: Iterable[Tuple[bool, _Scored]]) -> _Found:
+    """The best feasible and the best overall of ``(feasible, scored)``
+    pairs in exploration order: only a strictly higher utility replaces an
+    incumbent, so the first maximum wins."""
+    best: Optional[_Scored] = None
+    best_any: Optional[_Scored] = None
+    for feasible, entry in scored:
+        if feasible and (best is None or entry[0] > best[0]):
+            best = entry
+        if best_any is None or entry[0] > best_any[0]:
+            best_any = entry
+    return best, best_any
+
 
 class _BaseSelector:
-    """Shared plumbing for baseline selectors."""
+    """Shared plumbing for the comparison selectors.
+
+    A subclass defines ``_search(request, candidates, stats, best_effort)``,
+    returning the best feasible and the best overall assignment it found
+    (None when it found none; the latter is read only under
+    ``best_effort``); :meth:`select` does the rest.
+    """
+
+    #: The :class:`SelectionError` message when the search found nothing
+    #: feasible; each subclass names its own.
+    _infeasible: str
 
     def __init__(
         self,
@@ -75,36 +107,59 @@ class _BaseSelector:
         self.properties = dict(properties)
         self.approach = approach
 
-    def _scoring(
-        self, request: UserRequest, candidates: CandidateSets
-    ) -> Tuple[Dict[str, float], CompiledAggregation, Normalizer]:
-        """What :func:`evaluate_assignment` needs, once per select: the
-        weights, the aggregation compiled over the relevant properties and
-        the global normaliser."""
-        relevant = relevant_properties(self.properties, request)
-        weights = request.normalised_weights(relevant)
-        aggregation = CompiledAggregation(
-            request.task.root, relevant, self.approach
-        )
-        normalizer = make_global_normalizer(aggregation, {
-            name: candidates.extremes(name, prop)
-            for name, prop in relevant.items()
-        })
-        return weights, aggregation, normalizer
-
-    def _plan(
+    def select(
         self,
         request: UserRequest,
-        assignment: Mapping[str, ServiceDescription],
         candidates: CandidateSets,
-        aggregated,
-        utility: float,
-        feasible: bool,
-        stats: SelectionStatistics,
+        best_effort: bool = False,
         alternates: int = 0,
     ) -> CompositionPlan:
-        relevant: Optional[Dict[str, QoSProperty]] = None
-        weights: Optional[Dict[str, float]] = None
+        """The best feasible composition the search found, with
+        ``alternates`` ranked substitutes per activity, under the module
+        docstring's ``best_effort`` contract."""
+        started = time.perf_counter()
+        stats = SelectionStatistics(search_space=candidates.search_space())
+        best, best_any = self._search(request, candidates, stats, best_effort)
+        stats.elapsed_seconds = time.perf_counter() - started
+        if best is not None:
+            return self._plan(
+                request, candidates, best, True, stats, alternates
+            )
+        if best_effort and best_any is not None:
+            return self._plan(
+                request, candidates, best_any, False, stats, alternates
+            )
+        raise SelectionError(self._infeasible)
+
+    def _scorer(
+        self, request: UserRequest, candidates: CandidateSets,
+        stats: SelectionStatistics,
+    ) -> Callable[[Dict[str, ServiceDescription]], Tuple[bool, _Scored]]:
+        """Scores one assignment as ``(feasible, scored)``; each call
+        counts one explored combination and one utility evaluation."""
+        weights, aggregation, normalizer = global_scoring(
+            self.properties, request, candidates, self.approach
+        )
+
+        def score(assignment: Dict[str, ServiceDescription]):
+            aggregated, utility, feasible = evaluate_assignment(
+                aggregation, request, assignment, normalizer, weights
+            )
+            stats.combinations_explored += 1
+            stats.utility_evaluations += 1
+            return feasible, (utility, assignment, aggregated)
+
+        return score
+
+    def _plan(
+        self, request: UserRequest, candidates: CandidateSets,
+        found: _Scored, feasible: bool, stats: SelectionStatistics,
+        alternates: int,
+    ) -> CompositionPlan:
+        utility, assignment, aggregated = found
+        if alternates:
+            relevant = relevant_properties(self.properties, request)
+            weights = request.normalised_weights(relevant)
         selections = {}
         for name, primary in assignment.items():
             ranked = [primary]
@@ -113,9 +168,6 @@ class _BaseSelector:
                 # they must actually be *ranked*: score each non-primary
                 # candidate with the activity's local SAW utility and keep
                 # the best (candidate order breaks exact ties).
-                if relevant is None:
-                    relevant = relevant_properties(self.properties, request)
-                    weights = request.normalised_weights(relevant)
                 pool = candidates[name]
                 local_norm = Normalizer.from_vectors(
                     [s.advertised_qos for s in pool], relevant
@@ -147,6 +199,8 @@ class ExhaustiveSelection(_BaseSelector):
     exceeding it raises so a benchmark never silently runs for hours.
     """
 
+    _infeasible = "no feasible composition exists (exhaustive proof)"
+
     def __init__(
         self,
         properties: Mapping[str, QoSProperty],
@@ -156,52 +210,22 @@ class ExhaustiveSelection(_BaseSelector):
         super().__init__(properties, approach)
         self.limit = limit
 
-    def select(
-        self,
-        request: UserRequest,
-        candidates: CandidateSets,
-        best_effort: bool = False,
-        alternates: int = 0,
-    ) -> CompositionPlan:
-        started = time.perf_counter()
-        stats = SelectionStatistics(search_space=candidates.search_space())
+    def _search(
+        self, request: UserRequest, candidates: CandidateSets,
+        stats: SelectionStatistics, best_effort: bool,
+    ) -> _Found:
         if stats.search_space > self.limit:
             raise SelectionError(
                 f"exhaustive search space {stats.search_space} exceeds "
                 f"limit {self.limit}"
             )
-        weights, aggregation, normalizer = self._scoring(request, candidates)
+        score = self._scorer(request, candidates, stats)
         names = candidates.activity_names()
-        best: Optional[Tuple[float, Dict[str, ServiceDescription], object]] = None
-        best_any: Optional[Tuple[float, Dict[str, ServiceDescription], object]] = None
-
-        for combo in itertools.product(*(candidates[name] for name in names)):
-            assignment = dict(zip(names, combo))
-            aggregated, utility, feasible = evaluate_assignment(
-                aggregation, request, assignment, normalizer, weights
-            )
-            stats.combinations_explored += 1
-            stats.utility_evaluations += 1
-            entry = (utility, assignment, aggregated)
-            if feasible and (best is None or utility > best[0]):
-                best = entry
-            if best_any is None or utility > best_any[0]:
-                best_any = entry
-
-        stats.elapsed_seconds = time.perf_counter() - started
-        if best is not None:
-            utility, assignment, aggregated = best
-            return self._plan(
-                request, assignment, candidates, aggregated, utility, True,
-                stats, alternates,
-            )
-        if best_effort and best_any is not None:
-            utility, assignment, aggregated = best_any
-            return self._plan(
-                request, assignment, candidates, aggregated, utility, False,
-                stats, alternates,
-            )
-        raise SelectionError("no feasible composition exists (exhaustive proof)")
+        pools = [candidates[name] for name in names]
+        return _first_maxima(
+            score(dict(zip(names, combo)))
+            for combo in itertools.product(*pools)
+        )
 
 
 class GreedySelection(_BaseSelector):
@@ -215,17 +239,15 @@ class GreedySelection(_BaseSelector):
     feasibility guarantee pass ``best_effort=True`` explicitly.
     """
 
-    def select(
-        self,
-        request: UserRequest,
-        candidates: CandidateSets,
-        best_effort: bool = False,
-        alternates: int = 0,
-    ) -> CompositionPlan:
-        started = time.perf_counter()
-        stats = SelectionStatistics(search_space=candidates.search_space())
-        weights, aggregation, normalizer = self._scoring(request, candidates)
+    _infeasible = "greedy selection violates the global constraints"
 
+    def _search(
+        self, request: UserRequest, candidates: CandidateSets,
+        stats: SelectionStatistics, best_effort: bool,
+    ) -> _Found:
+        weights, aggregation, normalizer = global_scoring(
+            self.properties, request, candidates, self.approach
+        )
         assignment: Dict[str, ServiceDescription] = {}
         for name in candidates.activity_names():
             services = candidates[name]
@@ -244,13 +266,8 @@ class GreedySelection(_BaseSelector):
         )
         stats.utility_evaluations += 1
         stats.combinations_explored = 1
-        stats.elapsed_seconds = time.perf_counter() - started
-        if not feasible and not best_effort:
-            raise SelectionError("greedy selection violates the global constraints")
-        return self._plan(
-            request, assignment, candidates, aggregated, utility, feasible,
-            stats, alternates,
-        )
+        found = (utility, assignment, aggregated)
+        return (found if feasible else None), found
 
 
 class RandomSelection(_BaseSelector):
@@ -272,49 +289,23 @@ class RandomSelection(_BaseSelector):
         self.attempts = attempts
         self.seed = seed
 
-    def select(
-        self,
-        request: UserRequest,
-        candidates: CandidateSets,
-        best_effort: bool = False,
-        alternates: int = 0,
-    ) -> CompositionPlan:
-        started = time.perf_counter()
-        stats = SelectionStatistics(search_space=candidates.search_space())
-        weights, aggregation, normalizer = self._scoring(request, candidates)
-        rng = random.Random(self.seed)
-        names = candidates.activity_names()
-        best_feasible = None
-        best_any = None
-
-        for _ in range(self.attempts):
-            assignment = {name: rng.choice(candidates[name]) for name in names}
-            aggregated, utility, feasible = evaluate_assignment(
-                aggregation, request, assignment, normalizer, weights
-            )
-            stats.combinations_explored += 1
-            stats.utility_evaluations += 1
-            if feasible and (best_feasible is None or utility > best_feasible[0]):
-                best_feasible = (utility, assignment, aggregated)
-            if best_any is None or utility > best_any[0]:
-                best_any = (utility, assignment, aggregated)
-
-        stats.elapsed_seconds = time.perf_counter() - started
-        if best_feasible is not None:
-            utility, assignment, aggregated = best_feasible
-            return self._plan(
-                request, assignment, candidates, aggregated, utility, True,
-                stats, alternates,
-            )
-        if best_effort and best_any is not None:
-            utility, assignment, aggregated = best_any
-            return self._plan(
-                request, assignment, candidates, aggregated, utility, False,
-                stats, alternates,
-            )
-        raise SelectionError(
+    @property
+    def _infeasible(self) -> str:
+        return (
             f"random selection found no feasible composition in "
             f"{self.attempts} attempts"
+        )
+
+    def _search(
+        self, request: UserRequest, candidates: CandidateSets,
+        stats: SelectionStatistics, best_effort: bool,
+    ) -> _Found:
+        score = self._scorer(request, candidates, stats)
+        rng = random.Random(self.seed)
+        names = candidates.activity_names()
+        return _first_maxima(
+            score({name: rng.choice(candidates[name]) for name in names})
+            for _ in range(self.attempts)
         )
 
 
@@ -324,8 +315,10 @@ class GeneticSelection(_BaseSelector):
     Chromosome = one candidate index per activity.  Fitness = composition
     utility minus a penalty proportional to total normalised constraint
     violation.  Tournament selection, single-point crossover, per-gene
-    mutation.
+    mutation.  ``population_size`` must be at least 1.
     """
+
+    _infeasible = "genetic search found no feasible composition"
 
     def __init__(
         self,
@@ -338,6 +331,8 @@ class GeneticSelection(_BaseSelector):
         penalty_weight: float = 2.0,
         seed: int = 0,
     ) -> None:
+        if population_size < 1:
+            raise SelectionError("population_size must be >= 1")
         super().__init__(properties, approach)
         self.population_size = population_size
         self.generations = generations
@@ -346,25 +341,14 @@ class GeneticSelection(_BaseSelector):
         self.penalty_weight = penalty_weight
         self.seed = seed
 
-    def select(
-        self,
-        request: UserRequest,
-        candidates: CandidateSets,
-        best_effort: bool = False,
-        alternates: int = 0,
-    ) -> CompositionPlan:
-        started = time.perf_counter()
-        stats = SelectionStatistics(search_space=candidates.search_space())
-        weights, aggregation, normalizer = self._scoring(request, candidates)
+    def _search(
+        self, request: UserRequest, candidates: CandidateSets,
+        stats: SelectionStatistics, best_effort: bool,
+    ) -> _Found:
+        score = self._scorer(request, candidates, stats)
         rng = random.Random(self.seed)
         names = candidates.activity_names()
         sizes = [len(candidates[name]) for name in names]
-
-        def decode(chromosome: Sequence[int]) -> Dict[str, ServiceDescription]:
-            return {
-                name: candidates[name][gene]
-                for name, gene in zip(names, chromosome)
-            }
 
         def penalty(aggregated) -> float:
             total = 0.0
@@ -379,71 +363,51 @@ class GeneticSelection(_BaseSelector):
                     total += min(-slack / scale, 1.0)
             return total
 
+        cache: Dict[Tuple[int, ...], Tuple[float, bool, _Scored]] = {}
+
         def evaluate(chromosome: Tuple[int, ...]):
-            assignment = decode(chromosome)
-            aggregated, utility, feasible = evaluate_assignment(
-                aggregation, request, assignment, normalizer, weights
-            )
-            stats.utility_evaluations += 1
-            fitness = utility - self.penalty_weight * penalty(aggregated)
-            return fitness, utility, feasible, assignment, aggregated
+            if chromosome not in cache:
+                feasible, scored = score({
+                    name: candidates[name][gene]
+                    for name, gene in zip(names, chromosome)
+                })
+                penalised = self.penalty_weight * penalty(scored[2])
+                cache[chromosome] = (scored[0] - penalised, feasible, scored)
+            return cache[chromosome]
 
-        population = [
-            tuple(rng.randrange(size) for size in sizes)
-            for _ in range(self.population_size)
-        ]
-        cache: Dict[Tuple[int, ...], Tuple] = {}
-        best_feasible = None
-        best_any = None
+        def explored() -> Iterator[Tuple[bool, _Scored]]:
+            population = [
+                tuple(rng.randrange(size) for size in sizes)
+                for _ in range(self.population_size)
+            ]
+            for _ in range(self.generations):
+                graded = []
+                for chromosome in population:
+                    fitness, feasible, scored = evaluate(chromosome)
+                    graded.append((chromosome, fitness))
+                    yield feasible, scored
 
-        for _ in range(self.generations):
-            scored = []
-            for chromosome in population:
-                if chromosome not in cache:
-                    cache[chromosome] = evaluate(chromosome)
-                    stats.combinations_explored += 1
-                scored.append((chromosome, cache[chromosome]))
-                fitness, utility, feasible, assignment, aggregated = cache[chromosome]
-                if feasible and (best_feasible is None or utility > best_feasible[0]):
-                    best_feasible = (utility, assignment, aggregated)
-                if best_any is None or utility > best_any[0]:
-                    best_any = (utility, assignment, aggregated)
+                def tournament() -> Tuple[int, ...]:
+                    a, b = rng.choice(graded), rng.choice(graded)
+                    return a[0] if a[1] >= b[1] else b[0]
 
-            def tournament() -> Tuple[int, ...]:
-                a, b = rng.choice(scored), rng.choice(scored)
-                return a[0] if a[1][0] >= b[1][0] else b[0]
+                # Elitism: carry the best chromosome over unchanged.
+                elite = max(graded, key=lambda pair: pair[1])[0]
+                next_population: List[Tuple[int, ...]] = [elite]
+                while len(next_population) < self.population_size:
+                    parent_a, parent_b = tournament(), tournament()
+                    if len(names) > 1 and rng.random() < self.crossover_rate:
+                        cut = rng.randrange(1, len(names))
+                        child = parent_a[:cut] + parent_b[cut:]
+                    else:
+                        child = parent_a
+                    child = tuple(
+                        rng.randrange(sizes[i])
+                        if rng.random() < self.mutation_rate
+                        else gene
+                        for i, gene in enumerate(child)
+                    )
+                    next_population.append(child)
+                population = next_population
 
-            next_population: List[Tuple[int, ...]] = []
-            # Elitism: carry the best chromosome over unchanged.
-            elite = max(scored, key=lambda pair: pair[1][0])[0]
-            next_population.append(elite)
-            while len(next_population) < self.population_size:
-                parent_a, parent_b = tournament(), tournament()
-                if len(names) > 1 and rng.random() < self.crossover_rate:
-                    cut = rng.randrange(1, len(names))
-                    child = parent_a[:cut] + parent_b[cut:]
-                else:
-                    child = parent_a
-                child = tuple(
-                    rng.randrange(sizes[i])
-                    if rng.random() < self.mutation_rate
-                    else gene
-                    for i, gene in enumerate(child)
-                )
-                next_population.append(child)
-            population = next_population
-
-        stats.elapsed_seconds = time.perf_counter() - started
-        if best_feasible is not None:
-            utility, assignment, aggregated = best_feasible
-            return self._plan(
-                request, assignment, candidates, aggregated, utility, True,
-                stats, alternates,
-            )
-        if best_effort and best_any is not None:
-            utility, assignment, aggregated = best_any
-            return self._plan(
-                request, assignment, candidates, aggregated, utility, False,
-                stats, alternates,
-            )
-        raise SelectionError("genetic search found no feasible composition")
+        return _first_maxima(explored())

@@ -117,13 +117,9 @@ class DistributedQASSA:
         locals_ = {}
         for node in nodes:
             started = time.perf_counter()
-            node_locals = {
-                name: sel
-                for name, sel in self.qassa.local_selections(
-                    request,
-                    _subset(candidates, request, node.activity_names),
-                ).items()
-            }
+            node_locals = self.qassa.local_selections(request, {
+                name: candidates[name] for name in node.activity_names
+            })
             elapsed = time.perf_counter() - started
             timing.per_node_seconds[node.node_id] = elapsed
             locals_.update(node_locals)
@@ -181,21 +177,6 @@ class DistributedQASSA:
             )
 
 
-def _subset(
-    candidates: CandidateSets, request: UserRequest, names: Sequence[str]
-) -> CandidateSets:
-    """A CandidateSets view narrowed to some activities.
-
-    CandidateSets validates against the full task, so we bypass __init__ and
-    fill the private mapping directly — the narrowed view is only consumed
-    by the local phase, which never touches the task structure.
-    """
-    view = CandidateSets.__new__(CandidateSets)
-    view.task = candidates.task
-    view._sets = {name: candidates[name] for name in names}
-    return view
-
-
 def nodes_from_environment(
     candidates: CandidateSets,
     environment,
@@ -215,7 +196,6 @@ def nodes_from_environment(
             host = service.host_device
             if host is None:
                 continue
-            device = getattr(environment, "device", None)
             tally[host] = tally.get(host, 0) + 1
         if tally:
             winner = max(sorted(tally), key=lambda h: tally[h])

@@ -45,7 +45,6 @@ See ``docs/OPTIMALITY.md`` for the formulation and the gap methodology.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -58,12 +57,12 @@ from repro.composition.aggregation import (
     Row,
 )
 from repro.composition.request import UserRequest
-from repro.composition.baselines import _BaseSelector
+from repro.composition.baselines import _BaseSelector, _Found, _Scored
 from repro.composition.selection import (
     CandidateSets,
-    CompositionPlan,
     SelectionStatistics,
     evaluate_assignment,
+    global_scoring,
 )
 from repro.composition.utility import row_utility
 
@@ -96,6 +95,8 @@ class ExactSelection(_BaseSelector):
     :class:`SelectionError` up front instead of failing mid-search.
     """
 
+    _infeasible = "no feasible composition exists (branch-and-bound proof)"
+
     def __init__(
         self,
         properties: Mapping[str, QoSProperty],
@@ -105,19 +106,13 @@ class ExactSelection(_BaseSelector):
         super().__init__(properties, approach)
         self.max_nodes = max_nodes
 
-    # ------------------------------------------------------------------
-    # public entry point
-    # ------------------------------------------------------------------
-    def select(
-        self,
-        request: UserRequest,
-        candidates: CandidateSets,
-        best_effort: bool = False,
-        alternates: int = 0,
-    ) -> CompositionPlan:
-        started = time.perf_counter()
-        stats = SelectionStatistics(search_space=candidates.search_space())
-        weights, aggregation, normalizer = self._scoring(request, candidates)
+    def _search(
+        self, request: UserRequest, candidates: CandidateSets,
+        stats: SelectionStatistics, best_effort: bool,
+    ) -> _Found:
+        weights, aggregation, normalizer = global_scoring(
+            self.properties, request, candidates, self.approach
+        )
         relevant = aggregation.properties
         names = candidates.activity_names()
 
@@ -135,31 +130,14 @@ class ExactSelection(_BaseSelector):
         )
 
         feasible_pools = self._constraint_fixing(kept, request, search, stats)
-        best = None
+        best = best_any = None
         if feasible_pools is not None:
             best = search.run(feasible_pools, enforce_constraints=True)
-        if best is not None:
-            utility, assignment, aggregated = best
-            stats.elapsed_seconds = time.perf_counter() - started
-            return self._plan(
-                request, assignment, candidates, aggregated, utility, True,
-                stats, alternates,
-            )
-        if best_effort:
+        if best is None and best_effort:
             # No feasible assignment exists; find the highest-utility one
             # overall, exactly as ExhaustiveSelection's best_any fallback.
             best_any = search.run(kept, enforce_constraints=False)
-            if best_any is not None:
-                utility, assignment, aggregated = best_any
-                stats.elapsed_seconds = time.perf_counter() - started
-                return self._plan(
-                    request, assignment, candidates, aggregated, utility,
-                    False, stats, alternates,
-                )
-        stats.elapsed_seconds = time.perf_counter() - started
-        raise SelectionError(
-            "no feasible composition exists (branch-and-bound proof)"
-        )
+        return best, best_any
 
     # ------------------------------------------------------------------
     # variable fixing
@@ -395,7 +373,7 @@ class _Search:
         self,
         pools: Mapping[str, List[_Candidate]],
         enforce_constraints: bool,
-    ) -> Optional[Tuple[float, Dict[str, ServiceDescription], object]]:
+    ) -> Optional[_Scored]:
         """DFS with pruning; returns (utility, assignment, aggregated).
 
         Reproduces ExhaustiveSelection's tie-break: among equal-utility
@@ -426,9 +404,7 @@ class _Search:
 
         best_utility: Optional[float] = None
         best_key: Optional[Tuple[int, ...]] = None
-        best_payload: Optional[
-            Tuple[float, Dict[str, ServiceDescription], object]
-        ] = None
+        best_payload: Optional[_Scored] = None
         nodes = 0
         names = self.names
         depth_count = len(names)

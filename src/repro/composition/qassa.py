@@ -50,8 +50,9 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import ge
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SelectionError
 from repro.qos.properties import Direction, QoSProperty
@@ -400,11 +401,17 @@ class QASSA:
         return plans, best_infeasible
 
     def local_selections(
-        self, request: UserRequest, candidates: CandidateSets
+        self,
+        request: UserRequest,
+        candidates: Union[
+            CandidateSets, Mapping[str, Sequence[ServiceDescription]]
+        ],
     ) -> Dict[str, LocalSelection]:
         """Run only the local phase (used by the distributed variant, where
-        each device computes its own activities' levels).  It consults the
-        cache like :meth:`select` does."""
+        each device computes its own activities' levels).  ``candidates``
+        is a :class:`CandidateSets` or any activity -> pool mapping, such
+        as one device's share of the activities; only its ``items()`` are
+        read.  It consults the cache like :meth:`select` does."""
         relevant = relevant_properties(self.properties, request)
         weights = request.normalised_weights(relevant)
         return self._local_selections(
@@ -416,7 +423,9 @@ class QASSA:
     # ------------------------------------------------------------------
     def _local_selections(
         self,
-        candidates: CandidateSets,
+        candidates: Union[
+            CandidateSets, Mapping[str, Sequence[ServiceDescription]]
+        ],
         relevant: Mapping[str, QoSProperty],
         weights: Mapping[str, float],
         stats: SelectionStatistics,
@@ -724,34 +733,28 @@ class QASSA:
         feasible: bool,
     ) -> CompositionPlan:
         selections: Dict[str, SelectedActivity] = {}
+        quota = 1 + self.config.alternates_kept
         for name, rank in zip(names, state):
             sel = locals_[name]
-            primary = assignment[name]
-            ranked = [primary]
+            services = sel.services
+            chosen = sel.levels[rank]
+            ranked = [assignment[name]]
             # Alternates come from the chosen level first, then from the
             # remaining levels in rank order, so each activity retains
             # several services for dynamic binding / substitution (§I.5)
-            # even when its winning cluster is small.
-            level_order = [sel.levels[rank]] + [
-                lv for lv in sel.levels if lv.rank != rank
-            ]
-            quota = 1 + self.config.alternates_kept
-            for level in level_order:
-                for idx in level.member_indexes:
-                    if len(ranked) >= quota:
-                        break
-                    service = sel.services[idx]
-                    if service != primary and service not in ranked:
-                        ranked.append(service)
-                if len(ranked) >= quota:
-                    break
-            # Pareto-pruned candidates back-fill the quota: strictly worse
-            # than their dominators, but a dominated substitute beats no
+            # even when its winning cluster is small.  Pareto-pruned
+            # candidates back-fill the quota last: strictly worse than
+            # their dominators, but a dominated substitute beats no
             # substitute when providers churn.
-            for service in sel.reserve:
+            for service in chain(
+                map(services.__getitem__, chosen.member_indexes),
+                (services[i] for level in sel.levels if level is not chosen
+                 for i in level.member_indexes),
+                sel.reserve,
+            ):
                 if len(ranked) >= quota:
                     break
-                if service != primary and service not in ranked:
+                if service not in ranked:
                     ranked.append(service)
             selections[name] = SelectedActivity(
                 name, ranked, normalizer=sel.normalizer

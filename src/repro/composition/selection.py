@@ -291,6 +291,26 @@ def make_global_normalizer(
     })
 
 
+def global_scoring(
+    properties: Mapping[str, QoSProperty],
+    request: UserRequest,
+    candidates: CandidateSets,
+    approach: AggregationApproach,
+) -> Tuple[Dict[str, float], CompiledAggregation, Normalizer]:
+    """What :func:`evaluate_assignment` needs to score ``request``'s
+    assignments over ``candidates``: the weights, the aggregation compiled
+    over the relevant properties and the global normaliser built from
+    :meth:`CandidateSets.extremes`."""
+    relevant = relevant_properties(properties, request)
+    weights = request.normalised_weights(relevant)
+    aggregation = CompiledAggregation(request.task.root, relevant, approach)
+    normalizer = make_global_normalizer(aggregation, {
+        name: candidates.extremes(name, prop)
+        for name, prop in relevant.items()
+    })
+    return weights, aggregation, normalizer
+
+
 def evaluate_assignment(
     aggregation: CompiledAggregation,
     request: UserRequest,

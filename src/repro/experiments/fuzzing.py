@@ -32,10 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SelectionError
 from repro.qos.properties import QoSProperty
-from repro.composition.aggregation import (
-    AggregationApproach,
-    CompiledAggregation,
-)
+from repro.composition.aggregation import AggregationApproach
 from repro.composition.baselines import (
     ExhaustiveSelection,
     GeneticSelection,
@@ -49,8 +46,7 @@ from repro.composition.selection import (
     CandidateSets,
     CompositionPlan,
     evaluate_assignment,
-    make_global_normalizer,
-    relevant_properties,
+    global_scoring,
 )
 from repro.composition.task import (
     Leaf,
@@ -247,17 +243,12 @@ def _check_consistency(
     divergences: List[str],
 ) -> None:
     """A plan must agree with a from-scratch re-evaluation of its binding."""
-    properties = relevant_properties(instance.properties, instance.request)
-    aggregation = CompiledAggregation(
-        instance.task.root, properties, instance.approach
+    weights, aggregation, normalizer = global_scoring(
+        instance.properties, instance.request, instance.candidates,
+        instance.approach,
     )
-    normalizer = make_global_normalizer(aggregation, {
-        name: instance.candidates.extremes(name, prop)
-        for name, prop in properties.items()
-    })
     aggregated, utility, feasible = evaluate_assignment(
-        aggregation, instance.request, plan.binding(), normalizer,
-        instance.request.normalised_weights(properties),
+        aggregation, instance.request, plan.binding(), normalizer, weights
     )
     if plan.feasible != feasible:
         divergences.append(

@@ -168,6 +168,18 @@ class TestGenetic:
         with pytest.raises(SelectionError):
             GeneticSelection(PROPS, generations=5).select(request, candidates)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_an_empty_population_at_construction(self, size):
+        with pytest.raises(SelectionError, match="population_size must be >= 1"):
+            GeneticSelection(PROPS, population_size=size)
+
+    def test_a_population_of_one_selects(self):
+        request, candidates = build_problem()
+        plan = GeneticSelection(
+            PROPS, population_size=1, generations=3
+        ).select(request, candidates)
+        assert plan.feasible
+
 
 ALL_SELECTORS = [
     pytest.param(lambda: ExhaustiveSelection(PROPS), id="exhaustive"),
