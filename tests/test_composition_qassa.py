@@ -14,12 +14,16 @@ from repro.qos.properties import STANDARD_PROPERTIES
 from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
 from repro.services.generator import ServiceGenerator
-from repro.composition.aggregation import AggregationApproach
+from repro.composition.aggregation import (
+    AggregationApproach,
+    CompiledAggregation,
+)
 from repro.composition.baselines import ExhaustiveSelection
 from repro.composition.qassa import QASSA, QassaConfig
 from repro.composition.request import GlobalConstraint, UserRequest
-from repro.composition.selection import CandidateSets
+from repro.composition.selection import CandidateSets, relevant_properties
 from repro.composition.task import Task, leaf, parallel, sequence
+from repro.experiments.fuzzing import FuzzSpec, generate_instance
 from repro.observability import Observability
 
 PROPS = {
@@ -267,3 +271,37 @@ def test_unconstrained_selection_never_fails(activities, services, seed):
     plan = QASSA(PROPS).select(request, candidates)
     assert plan.feasible
     assert len(plan.selections) == activities
+
+
+def test_each_distinct_assignment_is_aggregated_once(monkeypatch):
+    """However often the walk, repair and refine score an assignment, the
+    global phase folds it once: count the calls of the compiled fold, each
+    a tuple of the bound services' value rows."""
+    instance = generate_instance(
+        2, FuzzSpec(max_activities=6, max_services=12)
+    )
+    relevant = relevant_properties(instance.properties, instance.request)
+    positions = {
+        tuple(service.advertised_qos[n] for n in relevant): (name, i)
+        for name, pool in instance.candidates.items()
+        for i, service in enumerate(pool)
+    }
+    assert len(positions) == sum(instance.candidates.sizes().values())
+    aggregated = []
+    real = CompiledAggregation.__call__
+
+    def counting(self, rows):
+        aggregated.append(tuple(positions[row] for row in rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(CompiledAggregation, "__call__", counting)
+    obs = Observability()
+    plan = QASSA(
+        instance.properties, instance.approach,
+        config=QassaConfig(seed=instance.seed), observability=obs,
+    ).select(instance.request, instance.candidates)
+
+    (global_span,) = obs.spans[0].find("qassa.global")
+    assert len(aggregated) == len(set(aggregated))
+    assert len(aggregated) == global_span.attributes["aggregations"]
+    assert len(aggregated) < plan.statistics.utility_evaluations

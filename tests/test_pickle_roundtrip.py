@@ -19,7 +19,7 @@ import pytest
 from repro.errors import NoCandidateError, UnknownConceptError
 from repro.observability.context import TraceContext
 
-from tests.test_runtime_determinism import CAPS, build_world
+from tests.worlds import CAPS, build_world
 
 
 def roundtrip(obj):

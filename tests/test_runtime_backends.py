@@ -3,13 +3,15 @@
 The execution-backend redesign makes *where* composition runs a config
 knob (``RuntimeConfig(backend="thread" | "process")``).  These tests run
 the same conformance suite against both backends through one parametrized
-fixture: pooled results stay byte-identical to serial, admission /
-deadline / rejection semantics are backend-independent, ``close()`` leaks
-nothing, a killed worker process surfaces as a requeue or a
+fixture: pooled runs pick serial's substitutes, admission / deadline /
+rejection semantics are backend-independent, ``close()`` leaks nothing, a
+killed worker process surfaces as a requeue or a
 :class:`~repro.errors.WorkerCrashError` — never a hang — and chaos, the
 flight recorder and forensic bundles work the same on both.  Config-level
 validation (unknown names, the one unsupported feature combination, the
-features the process backend accepts) rides along.
+features the process backend accepts) rides along.  That pooled plans and
+reports are byte-identical to serial ones is checked in
+``tests/test_identity_harness.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.runtime import (
 )
 
 from repro.experiments.fuzzing import plan_signature, report_signature
-from tests.test_runtime_determinism import build_world
+from tests.worlds import CAPS, PROPS, build_world
 
 BACKENDS = ("thread", "process")
 
@@ -66,26 +68,6 @@ def _config(backend_name, **overrides):
 
 
 class TestPooledEqualsSerialOnEveryBackend:
-    def test_backend_run_matches_serial_byte_for_byte(self, backend):
-        middleware_serial, requests_serial, _ = build_world(seed=29)
-        serial = [middleware_serial.submit(r).result()
-                  for r in requests_serial]
-
-        middleware_pooled, requests_pooled, _ = build_world(seed=29)
-        config = _config(backend, queue_depth=len(requests_pooled))
-        with MiddlewareRuntime(middleware_pooled, config) as runtime:
-            handles = [runtime.submit(r) for r in requests_pooled]
-            runtime.drain(timeout=120.0)
-
-        for index, (expected, handle) in enumerate(zip(serial, handles)):
-            pooled = handle.result()
-            assert plan_signature(expected.plan) == plan_signature(
-                pooled.plan
-            ), f"request {index} ({backend}): plans diverged"
-            assert report_signature(expected.report) == report_signature(
-                pooled.report
-            ), f"request {index} ({backend}): reports diverged"
-
     def test_plan_services_resolve_on_the_parent_registry(self, backend):
         """Rehydrated plans bind the parent's own service objects."""
         middleware, requests, _ = build_world(seed=31, profiles=2, repeats=1)
@@ -450,7 +432,6 @@ class TestConfigValidation:
         runtime.close()
 
     def test_process_backend_rejects_cross_layer_estimation(self):
-        from tests.test_runtime_determinism import CAPS, PROPS
         from repro.env.environment import PervasiveEnvironment
         from repro.semantics.ontology import Ontology
         from repro.services.generator import ServiceGenerator

@@ -1,7 +1,9 @@
-"""Tests for the MiddlewareRuntime pool: admission, deadlines, lifecycle."""
+"""Tests for the MiddlewareRuntime pool: admission, deadlines, lifecycle,
+liveness under churn."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -26,6 +28,8 @@ from repro.services.generator import ServiceGenerator
 from repro.composition.request import UserRequest
 from repro.composition.task import Task, leaf, sequence
 from repro.env.environment import PervasiveEnvironment
+
+from tests import worlds
 
 PROPS = {
     name: STANDARD_PROPERTIES[name]
@@ -230,3 +234,37 @@ class TestSubmissionSurface:
             for handle in handles
         }
         assert len(signatures) == 1
+
+
+class TestChurnUnderLoad:
+    def test_all_requests_terminate_despite_concurrent_churn(self):
+        middleware, requests, generator = worlds.build_world(repeats=4)
+        registry = middleware.environment.registry
+        stop = threading.Event()
+
+        def churner():
+            step = 0
+            while not stop.is_set():
+                service = registry.publish(
+                    generator.service(worlds.CAPS[step % len(worlds.CAPS)])
+                )
+                registry.withdraw(service.service_id)
+                step += 1
+
+        thread = threading.Thread(target=churner)
+        thread.start()
+        try:
+            config = RuntimeConfig(workers=4, queue_depth=len(requests))
+            with MiddlewareRuntime(middleware, config) as runtime:
+                handles = [runtime.submit(r) for r in requests]
+                runtime.drain(timeout=60.0)
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        for handle in handles:
+            assert handle.done()
+            assert handle.status in (
+                RequestStatus.DONE, RequestStatus.FAILED
+            )
+            if handle.status is RequestStatus.DONE:
+                assert handle.result().plan is not None
