@@ -109,20 +109,30 @@ class DistributedQASSA:
         nodes: Sequence[NodeAssignment],
         best_effort: bool = False,
     ) -> Tuple[CompositionPlan, DistributedTiming]:
-        """Run the distributed protocol; returns (plan, phase timings)."""
+        """Run the distributed protocol; returns (plan, phase timings).
+
+        The plan's statistics count every device's local phase and the
+        coordinator's global phase, as a centralized select counts both.
+        """
         self._check_partition(candidates, nodes)
         timing = DistributedTiming()
+        stats = SelectionStatistics(search_space=candidates.search_space())
 
         # --- local phase: one sub-run per device, concurrent in the field --
         locals_ = {}
         for node in nodes:
             started = time.perf_counter()
+            device = SelectionStatistics()
             node_locals = self.qassa.local_selections(request, {
                 name: candidates[name] for name in node.activity_names
-            })
+            }, device)
             elapsed = time.perf_counter() - started
             timing.per_node_seconds[node.node_id] = elapsed
             locals_.update(node_locals)
+            stats.utility_evaluations += device.utility_evaluations
+            stats.clustering_iterations += device.clustering_iterations
+            stats.cache_hits += device.cache_hits
+            stats.cache_misses += device.cache_misses
 
             payload = sum(
                 _BYTES_PER_LEVEL * len(sel.levels)
@@ -141,7 +151,6 @@ class DistributedQASSA:
         # --- global phase: coordinator-side assembly ------------------------
         relevant = relevant_properties(self.qassa.properties, request)
         started = time.perf_counter()
-        stats = SelectionStatistics(search_space=candidates.search_space())
         plan = self.qassa.global_phase(
             request, candidates, locals_, relevant, stats, FEASIBLE_BEAM,
             best_effort,

@@ -406,16 +406,19 @@ class QASSA:
         candidates: Union[
             CandidateSets, Mapping[str, Sequence[ServiceDescription]]
         ],
+        stats: Optional[SelectionStatistics] = None,
     ) -> Dict[str, LocalSelection]:
         """Run only the local phase (used by the distributed variant, where
         each device computes its own activities' levels).  ``candidates``
         is a :class:`CandidateSets` or any activity -> pool mapping, such
         as one device's share of the activities; only its ``items()`` are
-        read.  It consults the cache like :meth:`select` does."""
+        read.  It consults the cache like :meth:`select` does, and counts
+        its work into ``stats`` when given."""
         relevant = relevant_properties(self.properties, request)
         weights = request.normalised_weights(relevant)
         return self._local_selections(
-            candidates, relevant, weights, SelectionStatistics()
+            candidates, relevant, weights,
+            SelectionStatistics() if stats is None else stats,
         )
 
     # ------------------------------------------------------------------

@@ -13,10 +13,11 @@ from repro.composition.distributed import (
     NodeAssignment,
     round_robin_nodes,
 )
-from repro.composition.qassa import QASSA
+from repro.composition.qassa import QASSA, QassaConfig
 from repro.composition.request import GlobalConstraint, UserRequest
 from repro.composition.selection import CandidateSets
 from repro.composition.task import Task, leaf, sequence
+from repro.experiments.fuzzing import FuzzSpec, generate_instance
 
 PROPS = {
     name: STANDARD_PROPERTIES[name]
@@ -101,6 +102,31 @@ class TestDistributedSelection:
         )
         assert len(timing.per_node_seconds) == 2
         assert plan.statistics.extra["nodes"] == 2.0
+
+    def test_plan_counts_every_devices_local_phase(self):
+        """Both plans count the same local and global work."""
+        instance = generate_instance(
+            3, FuzzSpec(max_activities=6, max_services=12)
+        )
+        request, candidates = instance.request, instance.candidates
+        config = QassaConfig(seed=instance.seed)
+        centralized = QASSA(
+            instance.properties, instance.approach, config=config
+        ).select(request, candidates, best_effort=True)
+        distributed, _ = DistributedQASSA(
+            instance.properties, instance.approach, config=config
+        ).select(
+            request, candidates,
+            round_robin_nodes(candidates.activity_names(), 2),
+            best_effort=True,
+        )
+        assert distributed.service_ids() == centralized.service_ids()
+        assert distributed.utility == centralized.utility
+        counters = ("utility_evaluations", "clustering_iterations",
+                    "combinations_explored", "cache_hits", "cache_misses")
+        assert [getattr(distributed.statistics, c) for c in counters] == [
+            getattr(centralized.statistics, c) for c in counters
+        ]
 
     def test_local_phase_is_max_over_nodes(self, problem):
         request, candidates = problem

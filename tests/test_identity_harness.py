@@ -77,9 +77,9 @@ EXHAUSTIVE_CAP = 2_000
 
 #: sha256 over every QASSA outcome of the sweep, per Python minor version.
 QASSA_GOLDEN: Dict[Tuple[int, int], str] = {
-    (3, 11): "6f5f4f6fbe66445040d92bce19c89d32d845e2a6355d9c1e20369370829c2364",
-    (3, 12): "f0572260819a3f1259ce104df133d1e6949d459e4fbc0004a4e602c196ebae7e",
-    (3, 13): "f0572260819a3f1259ce104df133d1e6949d459e4fbc0004a4e602c196ebae7e",
+    (3, 11): "55d872c6c8ed8a58dbe2785882fe2d46d3aaddf09047157a9be4486b01bf1773",
+    (3, 12): "1c51bdb0397572b5d0d9d44220d06c1cd165f2dc5c87564ccfa8aacc667f1926",
+    (3, 13): "1c51bdb0397572b5d0d9d44220d06c1cd165f2dc5c87564ccfa8aacc667f1926",
 }
 
 #: sha256 over every selector outcome of the sweep, per Python minor
