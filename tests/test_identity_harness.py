@@ -10,10 +10,11 @@ Each seed of :data:`SPEC` is generated once and run through:
 * the five comparison selectors of §VI.3.2 (seeds 0-39), plain and
   best-effort with two alternates, exhaustive enumeration only up to
   :data:`EXHAUSTIVE_CAP` assignments;
-* a world built from the instance (:func:`tests.worlds.instance_world`),
-  which takes the request, best effort, plan-only and then executing:
-  serially and on each runtime backend of :data:`RUNTIMES`.  Execution
-  changes a world, so each path runs on its own fresh one.
+* a world built from the instance (seeds 0-39,
+  :func:`tests.worlds.instance_world`), which takes the request, best
+  effort, plan-only and then executing: serially, and on each runtime
+  backend for the worlds :data:`RUNTIMES` gives it.  Execution changes a
+  world, so each path runs on its own fresh one.
 
 A selection family hashes one line per path and instance: each ranked
 service as its position in its activity's pool (service ids come from a
@@ -68,9 +69,10 @@ from tests.worlds import instance_world
 SPEC = FuzzSpec(max_activities=6, max_services=12)
 QASSA_SEEDS = range(72)
 SELECTOR_SEEDS = WORLD_SEEDS = range(40)
-#: Per runtime backend, its workers and the worlds it serves.  A process
-#: runtime spawns its worker (about 0.3 s), so it serves one world, one
-#: whose execution substitutes a service.
+#: Per runtime backend, its workers and the worlds it serves.  Each
+#: process worker is a spawned interpreter (about 0.3 s), so the process
+#: runtime runs one worker on one world, one whose execution substitutes
+#: a service.
 RUNTIMES = {"thread": (2, WORLD_SEEDS), "process": (1, (4,))}
 #: Largest assignment space the exhaustive enumeration runs on.
 EXHAUSTIVE_CAP = 2_000
