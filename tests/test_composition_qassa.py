@@ -14,10 +14,7 @@ from repro.qos.properties import STANDARD_PROPERTIES
 from repro.qos.values import QoSVector
 from repro.services.description import ServiceDescription
 from repro.services.generator import ServiceGenerator
-from repro.composition.aggregation import (
-    AggregationApproach,
-    CompiledAggregation,
-)
+from repro.composition.aggregation import CompiledAggregation
 from repro.composition.baselines import ExhaustiveSelection
 from repro.composition.qassa import QASSA, QassaConfig
 from repro.composition.request import GlobalConstraint, UserRequest
