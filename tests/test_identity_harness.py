@@ -31,10 +31,17 @@ kept per Python minor version: from 3.12 on, ``sum()`` over floats uses
 compensated summation, so aggregates can differ in their last bits.
 ``python -m tests.test_identity_harness`` prints both digests and every
 outcome line, for a re-pin to show what it changed.
+
+Each instance, path run and sweep is computed once per session.  This
+module checks the warm select, the serial submits and the runtimes;
+``tests/test_qassa_global_identity.py`` and
+``tests/test_selector_identity.py`` check each family's coverage and
+golden digest.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
 from collections import Counter
@@ -53,7 +60,6 @@ from repro.composition.distributed import DistributedQASSA, NodeAssignment
 from repro.composition.exact import ExactSelection
 from repro.composition.qassa import QASSA, QassaConfig
 from repro.composition.selection_cache import SelectionCache
-from repro.composition.task import Leaf, Sequence
 from repro.experiments.fuzzing import (
     FuzzInstance,
     FuzzSpec,
@@ -230,22 +236,38 @@ def world_outcomes(instance: FuzzInstance, backend=None) -> list:
     ]
 
 
-@pytest.fixture(scope="module")
+@functools.lru_cache(maxsize=None)
 def instances() -> Dict[int, FuzzInstance]:
+    """Seed -> instance, for every seed the harness runs."""
     return {seed: generate_instance(seed, SPEC) for seed in QASSA_SEEDS}
 
 
-@pytest.fixture(scope="module")
-def qassa_outcomes(instances):
-    return {seed: qassa_paths(instances[seed]) for seed in QASSA_SEEDS}
+@functools.lru_cache(maxsize=None)
+def qassa_outcomes() -> dict:
+    return {seed: qassa_paths(instances()[seed]) for seed in QASSA_SEEDS}
 
 
-@pytest.fixture(scope="module")
-def serial_outcomes(instances):
-    return {seed: world_outcomes(instances[seed]) for seed in WORLD_SEEDS}
+@functools.lru_cache(maxsize=None)
+def qassa_sweep() -> Sweep:
+    return digest(instances(), qassa_outcomes(), extra=False)
 
 
-def _check_golden(sweep: Sweep, golden, family: str) -> None:
+@functools.lru_cache(maxsize=None)
+def selector_sweep() -> Sweep:
+    return digest(
+        instances(),
+        {seed: selector_paths(instances()[seed]) for seed in SELECTOR_SEEDS},
+        extra=True,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def serial_outcomes() -> dict:
+    return {seed: world_outcomes(instances()[seed]) for seed in WORLD_SEEDS}
+
+
+def check_golden(sweep: Sweep, golden, family: str) -> None:
+    """``sweep`` hashes to this interpreter's digest in ``golden``."""
     version = sys.version_info[:2]
     if not golden.get(version):
         pytest.skip(f"no golden digest recorded for Python {version}")
@@ -255,25 +277,10 @@ def _check_golden(sweep: Sweep, golden, family: str) -> None:
     )
 
 
-def test_qassa_entry_paths_match_the_golden_digest(instances, qassa_outcomes):
-    sweep = digest(instances, qassa_outcomes, extra=False)
-    cases = sweep.cases
-    for instance in instances.values():
-        cases[instance.approach.value] += 1
-        cases["patterns"] += not isinstance(instance.task.root,
-                                            (Leaf, Sequence))
-        cases["constrained"] += bool(instance.request.constraints)
-    for case in ("pessimistic", "optimistic", "mean", "patterns",
-                 "constrained", "select raised", "ranked raised",
-                 "distributed raised", "best_effort infeasible"):
-        assert cases[case] > 0, (case, cases)
-    _check_golden(sweep, QASSA_GOLDEN, "QASSA's entry paths")
-
-
-def test_a_warm_select_returns_the_cold_plan(qassa_outcomes):
+def test_a_warm_select_returns_the_cold_plan():
     """Wherever ``select`` (cold) finds a feasible plan, the best-effort
     select after it (warm) returns the same one."""
-    solved = [paths for paths in qassa_outcomes.values()
+    solved = [paths for paths in qassa_outcomes().values()
               if not isinstance(paths["select"], SelectionError)]
     assert len(solved) > len(QASSA_SEEDS) // 2
     for paths in solved:
@@ -282,38 +289,23 @@ def test_a_warm_select_returns_the_cold_plan(qassa_outcomes):
         assert warm.statistics.cache_hits == len(warm.selections)
 
 
-def test_selectors_match_the_golden_digest(instances):
-    sweep = digest(
-        instances,
-        {seed: selector_paths(instances[seed]) for seed in SELECTOR_SEEDS},
-        extra=True,
-    )
-    for label in ("exact", "greedy", "random", "genetic", "exhaustive"):
-        for case in ("raised", "infeasible", "alternates"):
-            assert sweep.cases[f"{label} {case}"] > 0, (label, case)
-    _check_golden(sweep, SELECTOR_GOLDEN, "the comparison selectors")
-
-
-def test_serial_submits_match_the_direct_select(qassa_outcomes,
-                                                serial_outcomes):
+def test_serial_submits_match_the_direct_select():
     for seed in WORLD_SEEDS:
-        (direct,) = qassa_outcomes[seed]["best_effort"]
-        planned, _ = serial_outcomes[seed]
+        (direct,) = qassa_outcomes()[seed]["best_effort"]
+        planned, _ = serial_outcomes()[seed]
         assert planned == (plan_signature(direct),), seed
 
 
 @pytest.mark.parametrize("backend", sorted(RUNTIMES))
-def test_runtime_matches_serial(backend, instances, serial_outcomes):
+def test_runtime_matches_serial(backend):
     for seed in RUNTIMES[backend][1]:
-        assert world_outcomes(instances[seed], backend) == (
-            serial_outcomes[seed]
+        assert world_outcomes(instances()[seed], backend) == (
+            serial_outcomes()[seed]
         ), f"seed {seed}: the {backend} runtime diverged from serial"
 
 
 if __name__ == "__main__":
-    every = {seed: generate_instance(seed, SPEC) for seed in QASSA_SEEDS}
-    for paths, seeds, extra in ((qassa_paths, QASSA_SEEDS, False),
-                                (selector_paths, SELECTOR_SEEDS, True)):
-        sweep = digest(every, {s: paths(every[s]) for s in seeds}, extra)
-        print(paths.__name__, sweep.digest)
+    for name, sweep in (("qassa_paths", qassa_sweep()),
+                        ("selector_paths", selector_sweep())):
+        print(name, sweep.digest)
         sys.stdout.writelines(sweep.lines)
