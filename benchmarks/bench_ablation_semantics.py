@@ -48,7 +48,7 @@ def test_ablation_semantic_vs_syntactic_discovery(benchmark, emit):
         scenario.environment, scenario.properties, ontology=None
     )
     try:
-        middleware_syntactic.submit(scenario.request, execute=False)
+        middleware_syntactic.submit(scenario.request, execute=False).plan()
         syntactic_ok = True
     except NoCandidateError:
         syntactic_ok = False

@@ -379,10 +379,7 @@ def _serve_scenario(args, scenario, middleware, obs, out) -> int:
         verdict = "OK" if report.ok else "; ".join(report.violations)
         print(f"invariants: {verdict}", file=out)
         if not report.ok:
-            if runtime.forensics is not None:
-                runtime.forensics.trigger(
-                    "invariant_violation", violations=report.violations
-                )
+            report.emit(runtime.events)
             _report_forensics(args, runtime, out)
             return 1
     if obs is not None:

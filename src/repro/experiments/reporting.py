@@ -11,27 +11,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.harness import Sweep, Timing
-
-
-def render_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: Optional[str] = None,
-) -> str:
-    """A fixed-width table with a rule under the header."""
-    cells = [[_fmt(value) for value in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+from repro.observability.exporters import render_table
 
 
 def render_series(sweep: Sweep, keys: Optional[Sequence[str]] = None) -> str:
@@ -82,14 +62,3 @@ def render_json(sweep: Sweep) -> str:
     """The sweep as pretty-printed JSON (what benchmarks persist)."""
     return json.dumps(sweep_to_dict(sweep), indent=2, sort_keys=True)
 
-
-def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.001:
-            return f"{value:.3e}"
-        return f"{value:.4g}"
-    return str(value)

@@ -29,7 +29,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 
-from repro.qos.model import QoSModel, build_end_to_end_model
 from repro.qos.properties import QoSProperty
 from repro.semantics.ontology import Ontology
 from repro.services.description import ServiceDescription
@@ -50,7 +49,7 @@ from repro.observability import core as observability_core
 from repro.qos.sla import ComplianceTracker, derive_slas
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.degradation import PartialExecutionReport
-from repro.runtime.handle import RunHandle, RunSpec
+from repro.runtime.handle import RequestStatus, RunHandle, RunSpec
 from repro.runtime.process_worker import (
     WorkerContext,
     WorkerState,
@@ -87,7 +86,6 @@ class QASOM:
         *,
         task_ontology: Optional[Ontology] = None,
         repository: Optional[TaskClassRepository] = None,
-        qos_model: Optional[QoSModel] = None,
         config: Optional[MiddlewareConfig] = None,
         observability: Optional[Observability] = None,
     ) -> None:
@@ -97,7 +95,6 @@ class QASOM:
         self.environment = environment
         self.properties = dict(properties)
         self.config = config
-        self.qos_model = qos_model if qos_model is not None else build_end_to_end_model()
 
         # Observability: an explicit instance wins; otherwise the config
         # knob; otherwise the ambient default (NULL unless installed).
@@ -352,7 +349,8 @@ class QASOM:
         :class:`~repro.runtime.handle.RunHandle` is already terminal —
         the same surface :class:`~repro.runtime.runtime.MiddlewareRuntime`
         completes asynchronously, so call sites are agnostic to the
-        serial/pooled deployment choice.
+        serial/pooled deployment choice: an ``Exception`` from composing
+        or executing fails the handle, whose accessors re-raise it.
         """
         spec = RunSpec(
             request=request, plan=plan, execute=execute, adapt=adapt,
@@ -370,7 +368,7 @@ class QASOM:
         )
         handle.trace_context = context
         task = spec.plan.task if spec.request is None else spec.request.task
-        result = None
+        result = error = None
         # Mirror the pooled runtime's span shape: one ``runtime.request``
         # root per submission, every descendant carrying the minted trace
         # id — so serial and pooled runs assemble into identical
@@ -380,21 +378,28 @@ class QASOM:
                 "runtime.request", task=task.name, execute=spec.execute,
                 inline=True,
             ) as request_span:
-                if spec.plan is not None:
-                    plans = [spec.plan]
-                else:
-                    plans = self.worker_state.compose(
-                        spec, self.snapshots.acquire()
-                    )
-                if spec.execute:
-                    result = self._execute_plan(
-                        plans[0], adapt=spec.adapt, track_sla=spec.track_sla
-                    )
-                    if self.observability.enabled:
-                        result.trace = request_span
-                request_span.set(status="done")
+                try:
+                    if spec.plan is not None:
+                        plans = [spec.plan]
+                    else:
+                        plans = self.worker_state.compose(
+                            spec, self.snapshots.acquire()
+                        )
+                    if spec.execute:
+                        result = self._execute_plan(
+                            plans[0], adapt=spec.adapt,
+                            track_sla=spec.track_sla,
+                        )
+                        if self.observability.enabled:
+                            result.trace = request_span
+                except Exception as exc:  # noqa: BLE001 - lands on handle
+                    error = exc
+                request_span.set(status="done" if error is None else "failed")
         handle.finished_sim = self.environment.clock.now()
-        handle._complete(result, plans)
+        if error is None:
+            handle._complete(result, plans)
+        else:
+            handle._fail(error, RequestStatus.FAILED)
         return handle
 
     def run(

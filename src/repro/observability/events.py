@@ -6,23 +6,23 @@ crashed worker or a breached SLO can be debugged from after the fact.
 Every lifecycle edge the runtime crosses (admission verdicts, adaptive
 depth changes, worker pickups, chaos injections, stalls, crashes,
 restarts, requeues, retry-budget denials, commits, deadline expiries,
-completions, failures, cancellations) drops one :class:`RuntimeEvent`
-into the ring, stamped with wall time, simulated time, the request's
-trace id, and a global sequence number.  Every request that reaches a
-terminal state leaves exactly one terminal event: ``request.done``,
-``request.failed``, ``deadline.expired``, ``admission.reject`` or
-``request.cancelled``.
+completions, failures, cancellations, invariant violations) is one
+:meth:`EventStream.emit`: one :class:`RuntimeEvent` in the ring, stamped
+with wall time, simulated time, the request's trace id, and a global
+sequence number, plus what :data:`EFFECTS` lists for the kind.  Every
+request that reaches a terminal state leaves exactly one terminal event:
+``request.done``, ``request.failed``, ``deadline.expired``,
+``admission.reject`` or ``request.cancelled``.
 
 The ring is bounded (oldest events fall off) and guarded by one lock, so
 recording from eight worker threads is safe and cheap; the disabled path
-(:data:`NULL_RECORDER`) is a shared singleton whose :meth:`record` is a
-single no-op call, keeping the PR 1 <5% disabled-observability overhead
-gate intact.
+(:data:`NULL_RECORDER`) is a shared singleton whose ``enabled`` flag the
+stream checks before building any event, keeping the <5%
+disabled-observability overhead gate intact.
 
 Event kinds are dotted strings (``"worker.crash"``) rather than an enum so
-forensic bundles stay greppable JSON and downstream consumers can add
-kinds without touching this module; the constants below name the kinds
-the runtime emits today.
+forensic bundles stay greppable JSON; the constants below name the kinds
+the runtime emits, and :data:`EFFECTS` has one row for each.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.observability.core import NULL_OBSERVABILITY
 
 # -- event kinds emitted by the runtime --------------------------------
 ADMISSION_ACCEPT = "admission.accept"
@@ -48,7 +50,6 @@ DEADLINE_EXPIRED = "deadline.expired"
 REQUEST_DONE = "request.done"
 REQUEST_FAILED = "request.failed"
 REQUEST_CANCELLED = "request.cancelled"
-SLO_BREACH = "slo.breach"
 INVARIANT_VIOLATION = "invariant.violation"
 
 
@@ -219,3 +220,78 @@ class _NullRecorder:
 #: Shared disabled recorder; the runtime falls back to it when no
 #: ``RuntimeConfig(flight_recorder=...)`` is supplied.
 NULL_RECORDER = _NullRecorder()
+
+
+class Effect(NamedTuple):
+    """What one event kind leaves besides its ring entry: the ``counter``
+    it bumps (labelled by the attributes named in ``labels``), the
+    zero-length marker ``span`` it opens with its attributes, and the
+    reason of the forensic ``bundle`` it dumps."""
+
+    counter: Optional[str] = None
+    labels: Tuple[str, ...] = ()
+    span: Optional[str] = None
+    bundle: Optional[str] = None
+
+
+#: Every kind the runtime emits, and what one emit of it leaves behind.
+EFFECTS: Dict[str, Effect] = {
+    ADMISSION_ACCEPT: Effect(),
+    ADMISSION_REJECT: Effect(counter="runtime_rejected_total"),
+    ADMISSION_DEPTH: Effect(span="runtime.admission"),
+    WORKER_PICKUP: Effect(),
+    WORKER_CRASH: Effect(),
+    WORKER_RESTART: Effect(
+        counter="runtime_worker_restarts_total",
+        span="runtime.supervisor.restart",
+    ),
+    CHAOS_INJECTED: Effect(
+        counter="runtime_chaos_injected_total", labels=("kind",),
+        span="runtime.chaos",
+    ),
+    REQUEST_REQUEUED: Effect(counter="runtime_requeued_total"),
+    RETRY_DENIED: Effect(),
+    COMMIT: Effect(),
+    DEADLINE_EXPIRED: Effect(counter="runtime_expired_total"),
+    REQUEST_DONE: Effect(counter="runtime_completed_total"),
+    REQUEST_FAILED: Effect(counter="runtime_failed_total"),
+    REQUEST_CANCELLED: Effect(counter="runtime_cancelled_total"),
+    INVARIANT_VIOLATION: Effect(bundle="invariant_violation"),
+}
+
+
+class EventStream:
+    """The runtime's one stream of lifecycle events.
+
+    :meth:`emit` leaves what :data:`EFFECTS` lists for the kind: the
+    counter and marker span on ``observability``, the ring entry on an
+    enabled ``recorder`` and the bundle on ``forensics``, if given.
+    """
+
+    def __init__(
+        self, observability: Any = NULL_OBSERVABILITY,
+        recorder: Any = NULL_RECORDER, forensics: Any = None,
+    ) -> None:
+        self.observability = observability
+        self.recorder = recorder
+        self.forensics = forensics
+
+    def emit(
+        self, kind: str, /, trace_id: Optional[str] = None, **attrs: Any
+    ) -> None:
+        """Record one ``kind`` edge with ``attrs`` as its one attribute set.
+
+        ``kind`` is positional-only so an attribute may itself be named
+        ``kind``.
+        """
+        counter, labels, span, bundle = EFFECTS[kind]
+        if counter is not None:
+            values = {name: attrs[name] for name in labels} if labels else {}
+            self.observability.counter(counter, **values).inc()
+        if span is not None:
+            with self.observability.span(span, **attrs):
+                pass
+        if self.recorder.enabled:
+            self.recorder.record(kind, trace_id=trace_id, **attrs)
+        if bundle is not None and self.forensics is not None:
+            self.forensics.trigger(bundle, trace_id=trace_id, **attrs)

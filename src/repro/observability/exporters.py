@@ -9,7 +9,8 @@ Three ways out of the in-process tracer/registry:
   machine-readable format ``--metrics-out`` writes and tests round-trip;
 * :func:`stage_breakdown` / :func:`render_breakdown` — aggregate spans by
   name into per-stage timing tables (the experiment harness's answer to
-  "where did the time go?").
+  "where did the time go?"), laid out by :func:`render_table`, the one
+  fixed-width text table every console report prints.
 
 The *no-op* exporter is simply not calling any of these — the disabled
 middleware never materialises spans or metrics in the first place.
@@ -21,7 +22,9 @@ import json
 import os
 import statistics
 import tempfile
-from typing import Any, Callable, Dict, IO, Iterable, List, Mapping, Sequence
+from typing import (
+    Any, Callable, Dict, IO, Iterable, List, Mapping, Optional, Sequence,
+)
 
 from repro.observability.spans import Span
 
@@ -206,15 +209,37 @@ def render_breakdown(breakdown: Mapping[str, Mapping[str, float]]) -> str:
         )
         for name, stats in breakdown.items()
     ]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
+    return render_table(headers, rows)
+
+
+def render_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    title: Optional[str] = None,
+) -> str:
+    """A fixed-width table with a rule under the header."""
+    cells = [[_fmt(value) for value in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def _fmt(value: object) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000 or abs(value) < 0.001:
+            return f"{value:.3e}"
+        return f"{value:.4g}"
+    return str(value)

@@ -37,7 +37,7 @@ from typing import (
     Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
-from repro.observability.exporters import write_atomic
+from repro.observability.exporters import render_table, write_atomic
 from repro.observability.metrics import DEFAULT_BUCKETS, Histogram
 from repro.observability.spans import Span
 
@@ -601,18 +601,7 @@ def render_window_table(
             f"{merged['p99'] * 1e3:.2f}ms",
             sparkline([getattr(s, value) for s in series]),
         ))
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    return render_table(headers, rows)
 
 
 def render_slo_table(verdicts: Sequence[SloVerdict], slo: Slo) -> str:
@@ -634,16 +623,4 @@ def render_slo_table(verdicts: Sequence[SloVerdict], slo: Slo) -> str:
             availability,
             status,
         ))
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        f"SLO {slo}",
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    return render_table(headers, rows, title=f"SLO {slo}")

@@ -28,9 +28,10 @@ rejects load the pool could absorb easily.  This module makes the bound a
 
 Both controllers are driven entirely by timestamps their caller passes in
 (the runtime passes simulated-clock readings), so identical simulated
-timelines produce identical depth decisions.  Each depth *change* emits a
-``runtime.admission`` decision span and refreshed ``runtime_admission_*``
-gauges through the runtime's observability.
+timelines produce identical depth decisions.  Each depth *change* emits
+an ``admission.depth`` event on the runtime's event stream (which opens a
+``runtime.admission`` decision span) and refreshes the
+``runtime_admission_*`` gauges.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Any, Deque, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.observability import NULL_OBSERVABILITY
-from repro.observability.events import ADMISSION_DEPTH, NULL_RECORDER
+from repro.observability.events import ADMISSION_DEPTH, EventStream
 
 
 class StaticAdmissionController:
@@ -78,7 +79,8 @@ class AdaptiveAdmissionController:
     caller's clock; ``min_depth`` floors the bound so a burst of slow
     requests cannot close admission entirely; ``queue_depth`` (the static
     bound) caps it.  Thread-safe: runtime submit and worker threads call
-    in concurrently.
+    in concurrently.  Depth changes and gauges go to ``events`` (the
+    runtime's stream), else to a stream over ``observability``.
     """
 
     adaptive = True
@@ -91,7 +93,7 @@ class AdaptiveAdmissionController:
         window_seconds: float = 5.0,
         min_depth: int = 1,
         observability: Any = NULL_OBSERVABILITY,
-        recorder: Any = NULL_RECORDER,
+        events: Optional[EventStream] = None,
     ) -> None:
         if target_delay_seconds <= 0:
             raise ValueError("target delay must be positive")
@@ -105,8 +107,7 @@ class AdaptiveAdmissionController:
         self.target_delay_seconds = float(target_delay_seconds)
         self.window_seconds = float(window_seconds)
         self.min_depth = min_depth
-        self.observability = observability
-        self.recorder = recorder
+        self.events = events or EventStream(observability)
         self._lock = threading.Lock()
         self._arrivals: Deque[float] = deque()
         self._services: Deque[Tuple[float, float]] = deque()
@@ -179,7 +180,7 @@ class AdaptiveAdmissionController:
             depth = math.ceil(self.target_delay_seconds / service)
             depth = max(self.min_depth, min(depth, self.queue_depth))
         utilisation = rate * service
-        observability = self.observability
+        observability = self.events.observability
         observability.gauge("runtime_admission_arrival_rate").set(rate)
         observability.gauge("runtime_admission_service_seconds").set(service)
         observability.gauge("runtime_admission_utilisation").set(utilisation)
@@ -188,23 +189,14 @@ class AdaptiveAdmissionController:
         previous, self._depth = self._depth, depth
         self._decisions += 1
         observability.gauge("runtime_admission_effective_depth").set(depth)
-        if self.recorder.enabled:
-            self.recorder.record(
-                ADMISSION_DEPTH,
-                depth=depth,
-                previous=previous,
-                arrival_rate=round(rate, 6),
-                service_seconds=round(service, 6),
-            )
-        with observability.span(
-            "runtime.admission",
+        self.events.emit(
+            ADMISSION_DEPTH,
             effective_depth=depth,
             previous_depth=previous,
             arrival_rate=round(rate, 6),
             service_seconds=round(service, 6),
             utilisation=round(utilisation, 6),
-        ):
-            pass
+        )
 
     def __repr__(self) -> str:
         return (
@@ -215,16 +207,13 @@ class AdaptiveAdmissionController:
 
 
 def build_admission_controller(
-    config: Any,
-    observability: Any = NULL_OBSERVABILITY,
-    recorder: Any = NULL_RECORDER,
+    config: Any, events: Optional[EventStream] = None
 ) -> Any:
     """The controller a :class:`RuntimeConfig` asks for.
 
     ``config.admission`` selects the policy: ``"static"`` (the default,
-    byte-identical to the pre-policy runtime) or ``"adaptive"``.
-    ``recorder`` lets the adaptive controller stamp depth changes on the
-    runtime's flight-recorder ring.
+    byte-identical to the pre-policy runtime) or ``"adaptive"``, which
+    emits its depth changes on ``events`` (the runtime's event stream).
     """
     if config.admission == "adaptive":
         return AdaptiveAdmissionController(
@@ -232,7 +221,6 @@ def build_admission_controller(
             target_delay_seconds=config.admission_target_delay_ms / 1e3,
             window_seconds=config.admission_window_seconds,
             min_depth=config.admission_min_depth,
-            observability=observability,
-            recorder=recorder,
+            events=events,
         )
     return StaticAdmissionController(config.queue_depth)

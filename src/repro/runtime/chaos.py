@@ -44,7 +44,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MiddlewareRuntimeError, RuntimeInvariantError
 from repro.observability import NULL_OBSERVABILITY
-from repro.observability.events import CHAOS_INJECTED, INVARIANT_VIOLATION, NULL_RECORDER
+from repro.observability.events import (
+    CHAOS_INJECTED,
+    INVARIANT_VIOLATION,
+    EventStream,
+)
 from repro.resilience.faults import (
     FaultEvent,
     FaultKind,
@@ -100,6 +104,9 @@ class ChaosPolicy:
     concurrently; events are consumed under one lock, in schedule order
     per kind.  ``max_sleep_seconds`` caps stall/commit-delay sleeps so a
     typo in a schedule cannot hang a benchmark.
+
+    Each injection is a ``chaos.injected`` event on :attr:`events`, a
+    stream over ``observability`` until a runtime sets its own there.
     """
 
     def __init__(
@@ -115,8 +122,7 @@ class ChaosPolicy:
                 "chaos max_sleep_seconds must be positive"
             )
         self.clock = clock
-        self.observability = observability
-        self.recorder: Any = NULL_RECORDER
+        self.events = EventStream(observability)
         self.max_sleep_seconds = float(max_sleep_seconds)
         self._lock = threading.Lock()
         self._pending: Dict[FaultKind, List[FaultEvent]] = {
@@ -137,15 +143,6 @@ class ChaosPolicy:
             return None
         return cls(runtime, clock, **kwargs)
 
-    def attach_recorder(self, recorder: Any) -> None:
-        """Stamp every future injection on a flight-recorder ring.
-
-        The runtime calls this when it owns a live recorder, so injected
-        faults interleave with the admission/pickup/commit events they
-        perturb in one globally sequenced log.
-        """
-        self.recorder = recorder
-
     # -- injection points ------------------------------------------------
     def on_worker_pickup(self, worker: int) -> None:
         """Consulted by a worker right after it dequeues a request.
@@ -155,11 +152,11 @@ class ChaosPolicy:
         """
         stall = self._take(FaultKind.WORKER_STALL, worker=worker)
         if stall is not None:
-            self._count(stall)
+            self._emit(stall)
             time.sleep(min(stall.duration, self.max_sleep_seconds))
         crash = self._take(FaultKind.WORKER_CRASH, worker=worker)
         if crash is not None:
-            self._count(crash)
+            self._emit(crash)
             raise InjectedWorkerCrash(
                 f"chaos: worker {worker} crashed "
                 f"(scheduled at t={crash.at:g})"
@@ -169,7 +166,7 @@ class ChaosPolicy:
         """Consulted before composition acquires its registry snapshot."""
         event = self._take(FaultKind.SNAPSHOT_FAILURE)
         if event is not None:
-            self._count(event)
+            self._emit(event)
             raise InjectedSnapshotFailure(
                 f"chaos: snapshot refresh failed (scheduled at "
                 f"t={event.at:g})"
@@ -179,7 +176,7 @@ class ChaosPolicy:
         """Consulted after a request wins its commit ticket."""
         event = self._take(FaultKind.COMMIT_DELAY)
         if event is not None:
-            self._count(event)
+            self._emit(event)
             time.sleep(min(event.duration, self.max_sleep_seconds))
 
     # -- introspection ---------------------------------------------------
@@ -230,22 +227,11 @@ class ChaosPolicy:
             return True
         return event.target == f"worker-{worker}"
 
-    def _count(self, event: FaultEvent) -> None:
-        self.observability.counter(
-            "runtime_chaos_injected_total", kind=event.kind.value
-        ).inc()
-        if self.recorder.enabled:
-            self.recorder.record(
-                CHAOS_INJECTED,
-                fault=event.kind.value,
-                target=event.target,
-                scheduled_at=event.at,
-            )
-        with self.observability.span(
-            "runtime.chaos", kind=event.kind.value, target=event.target,
+    def _emit(self, event: FaultEvent) -> None:
+        self.events.emit(
+            CHAOS_INJECTED, kind=event.kind.value, target=event.target,
             scheduled_at=event.at,
-        ):
-            pass
+        )
 
     def __repr__(self) -> str:
         with self._lock:
@@ -279,6 +265,14 @@ class InvariantReport:
     def ok(self) -> bool:
         """Whether every invariant held."""
         return not self.violations
+
+    def emit(self, events: EventStream) -> None:
+        """Emit this sweep's ``invariant.violation`` on a runtime's
+        stream (a ring entry and an ``invariant_violation`` bundle)."""
+        events.emit(
+            INVARIANT_VIOLATION, violations=list(self.violations),
+            handles=self.handles, committed=self.committed,
+        )
 
 
 def verify_runtime_invariants(
@@ -353,27 +347,13 @@ def assert_runtime_invariants(
 ) -> InvariantReport:
     """:func:`verify_runtime_invariants`, raising on any violation.
 
-    Before raising, the violation is treated as an anomaly trigger: it is
-    stamped on the runtime's flight recorder and — when the runtime has a
-    :class:`~repro.observability.forensics.ForensicReporter` — dumped as
-    an ``invariant_violation`` forensic bundle, so the evidence survives
-    the raised exception.
+    Before raising, the violation is emitted on the runtime's event stream
+    (:meth:`InvariantReport.emit`), so the evidence survives the raised
+    exception.
     """
     report = verify_runtime_invariants(runtime, handles)
     if not report.ok:
-        recorder = getattr(runtime, "recorder", None)
-        if recorder is not None and recorder.enabled:
-            recorder.record(
-                INVARIANT_VIOLATION, violations=list(report.violations)
-            )
-        forensics = getattr(runtime, "forensics", None)
-        if forensics is not None:
-            forensics.trigger(
-                "invariant_violation",
-                violations=list(report.violations),
-                handles=report.handles,
-                committed=report.committed,
-            )
+        report.emit(runtime.events)
         raise RuntimeInvariantError(
             "runtime invariants violated: " + "; ".join(report.violations)
         )

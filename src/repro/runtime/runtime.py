@@ -191,20 +191,13 @@ class RuntimeConfig:
             )
 
 
-#: What each terminal status leaves behind: the counter it bumps and the
-#: flight-recorder event kind it records.
+#: The event each terminal status emits (its counter: ``EFFECTS``).
 _TERMINAL = {
-    RequestStatus.DONE: ("runtime_completed_total", rt_events.REQUEST_DONE),
-    RequestStatus.FAILED: ("runtime_failed_total", rt_events.REQUEST_FAILED),
-    RequestStatus.EXPIRED: (
-        "runtime_expired_total", rt_events.DEADLINE_EXPIRED
-    ),
-    RequestStatus.REJECTED: (
-        "runtime_rejected_total", rt_events.ADMISSION_REJECT
-    ),
-    RequestStatus.CANCELLED: (
-        "runtime_cancelled_total", rt_events.REQUEST_CANCELLED
-    ),
+    RequestStatus.DONE: rt_events.REQUEST_DONE,
+    RequestStatus.FAILED: rt_events.REQUEST_FAILED,
+    RequestStatus.EXPIRED: rt_events.DEADLINE_EXPIRED,
+    RequestStatus.REJECTED: rt_events.ADMISSION_REJECT,
+    RequestStatus.CANCELLED: rt_events.REQUEST_CANCELLED,
 }
 
 
@@ -246,8 +239,7 @@ class MiddlewareRuntime:
         # the shared sim clock; a forensics directory without an explicit
         # recorder implies a default-capacity one.  The reporter is built
         # whenever a recorder is live (bundles stay in memory when no
-        # directory is configured), and the chaos policy feeds injections
-        # into the same ring.
+        # directory is configured).
         recorder = self.config.flight_recorder
         if recorder is None and self.config.forensics_dir is not None:
             recorder = FlightRecorder()
@@ -261,12 +253,15 @@ class MiddlewareRuntime:
                 directory=self.config.forensics_dir,
                 chaos_report=chaos.report if chaos is not None else None,
             )
-            if chaos is not None:
-                chaos.attach_recorder(self.recorder)
-
-        self.admission = build_admission_controller(
-            self.config, self.observability, recorder=self.recorder
+        # The one stream of every lifecycle edge: the runtime's, its
+        # supervisor's, its admission controller's and its chaos policy's.
+        self.events = rt_events.EventStream(
+            self.observability, self.recorder, self.forensics
         )
+        if chaos is not None:
+            chaos.events = self.events
+
+        self.admission = build_admission_controller(self.config, self.events)
         self.supervisor = WorkerSupervisor(self)
         self.retry_budget = RetryBudget(
             ratio=self.config.retry_budget_ratio,
@@ -432,8 +427,9 @@ class MiddlewareRuntime:
                 self.commits.issue(handle.seq)
             self._queue.append(handle)
             self._gauge("runtime_queue_depth").set(len(self._queue))
-            self._event(
-                rt_events.ADMISSION_ACCEPT, handle, queued=len(self._queue)
+            self.events.emit(
+                rt_events.ADMISSION_ACCEPT, handle.trace_id, seq=handle.seq,
+                queued=len(self._queue),
             )
             self._work.notify()
         self.retry_budget.on_admit()
@@ -523,8 +519,8 @@ class MiddlewareRuntime:
                 self._gauge("runtime_queue_depth").set(len(self._queue))
                 self._in_flight += 1
                 self._gauge("runtime_in_flight").set(self._in_flight)
-            self._event(
-                rt_events.WORKER_PICKUP, handle,
+            self.events.emit(
+                rt_events.WORKER_PICKUP, handle.trace_id, seq=handle.seq,
                 worker=worker, attempt=handle.requeues,
             )
             try:
@@ -555,9 +551,10 @@ class MiddlewareRuntime:
                     # never observe the orphan as finished work, then let
                     # the supervisor see the death.
                     handle.crashes += 1
-                    self._event(
-                        rt_events.WORKER_CRASH, handle,
-                        worker=worker, error=type(exc).__name__,
+                    self.events.emit(
+                        rt_events.WORKER_CRASH, handle.trace_id,
+                        seq=handle.seq, worker=worker,
+                        error=type(exc).__name__,
                     )
                     self._requeue_or_fail(handle, exc)
                     raise
@@ -609,17 +606,16 @@ class MiddlewareRuntime:
                 self._gauge("runtime_queue_depth").set(len(self._queue))
                 self._work.notify()
                 self._requeues += 1
-            self._counter("runtime_requeued_total").inc()
-            self._event(
-                rt_events.REQUEST_REQUEUED, handle,
+            self.events.emit(
+                rt_events.REQUEST_REQUEUED, handle.trace_id, seq=handle.seq,
                 attempt=handle.requeues, error=type(error).__name__,
             )
             return
         if retryable:
             # The retryable conditions held, so the budget was consulted
             # and said no — the metastability guard refusing a requeue.
-            self._event(
-                rt_events.RETRY_DENIED, handle,
+            self.events.emit(
+                rt_events.RETRY_DENIED, handle.trace_id, seq=handle.seq,
                 tokens=self.retry_budget.tokens,
             )
         if not isinstance(error, Exception):
@@ -759,8 +755,8 @@ class MiddlewareRuntime:
                     track_sla=handle.spec.track_sla,
                 )
             service_ended = self._clock.now()
-            self._event(
-                rt_events.COMMIT, handle,
+            self.events.emit(
+                rt_events.COMMIT, handle.trace_id, seq=handle.seq,
                 ticket=ticket, service_seconds=service_ended - service_started,
             )
             self.admission.on_complete(
@@ -801,10 +797,10 @@ class MiddlewareRuntime:
         Releases the commit ticket (so later tickets never wait on this
         request), stamps ``finished_sim`` before the handle completes
         (a rejection keeps ``finished_sim == submitted_sim``), completes
-        or fails the handle, then bumps the status's counter and records
-        the status's event (:data:`_TERMINAL`).  ``attrs`` are the event's
-        attributes; ``request.done`` adds ``requeues`` and
-        ``request.failed`` the error's type name.
+        or fails the handle, then emits the status's event
+        (:data:`_TERMINAL`).  ``attrs`` are the event's attributes;
+        ``request.done`` adds ``requeues`` and ``request.failed`` the
+        error's type name.
         """
         self.commits.release(handle.seq)
         handle.finished_sim = (
@@ -818,16 +814,9 @@ class MiddlewareRuntime:
             handle._fail(error, status)
             if status is RequestStatus.FAILED:
                 attrs["error"] = type(error).__name__
-        counter, kind = _TERMINAL[status]
-        self._counter(counter).inc()
-        self._event(kind, handle, **attrs)
-
-    def _event(self, kind: str, handle: RunHandle, **attrs) -> None:
-        """Stamp one lifecycle event of ``handle`` on the flight recorder."""
-        if self.recorder.enabled:
-            self.recorder.record(
-                kind, trace_id=handle.trace_id, seq=handle.seq, **attrs
-            )
+        self.events.emit(
+            _TERMINAL[status], handle.trace_id, seq=handle.seq, **attrs
+        )
 
     def _crash_bundle(self, handle: RunHandle) -> None:
         """Dump the deferred ``worker_crash`` bundle for a crash survivor.

@@ -9,9 +9,10 @@ stranded, its ``result()`` blocking indefinitely.  Two pieces fix that:
 * :class:`WorkerSupervisor` — every worker thread runs under the
   supervisor's wrapper.  When a worker dies it (1) lets the worker loop
   salvage the in-flight request *first* (requeue under the original
-  admission ticket, or fail the handle — never strand it), (2) counts the
-  death (``runtime_worker_restarts_total``) and opens a
-  ``runtime.supervisor.restart`` span, then (3) respawns a fresh thread
+  admission ticket, or fail the handle — never strand it), (2) emits a
+  ``worker.restart`` event on the runtime's stream (which counts
+  ``runtime_worker_restarts_total`` and opens a
+  ``runtime.supervisor.restart`` span), then (3) respawns a fresh thread
   in the dead worker's slot, so the pool always returns to
   ``config.workers`` threads while the runtime is open.
 
@@ -190,21 +191,9 @@ class WorkerSupervisor:
     def _on_worker_death(self, index: int, error: BaseException) -> None:
         with self._lock:
             self._restarts += 1
-        observability = self.runtime.observability
-        observability.counter("runtime_worker_restarts_total").inc()
-        with observability.span(
-            "runtime.supervisor.restart",
-            worker=index,
-            error=type(error).__name__,
-        ):
-            pass
-        recorder = getattr(self.runtime, "recorder", None)
-        if recorder is not None and recorder.enabled:
-            recorder.record(
-                WORKER_RESTART,
-                worker=index,
-                error=type(error).__name__,
-            )
+        self.runtime.events.emit(
+            WORKER_RESTART, worker=index, error=type(error).__name__
+        )
         self.spawn(index)
 
     def __repr__(self) -> str:

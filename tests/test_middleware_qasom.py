@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import NoCandidateError
+from repro import observability
+from repro.errors import NoCandidateError, SelectionError
+from repro.experiments.fuzzing import FuzzSpec, generate_instance
 from repro.middleware.config import MiddlewareConfig
 from repro.middleware.qasom import QASOM
 from repro.composition.request import GlobalConstraint, UserRequest
 from repro.composition.task import Task, leaf, sequence
 from repro.env.scenarios import build_shopping_scenario
+from repro.runtime import MiddlewareRuntime, RequestStatus, RuntimeConfig
+
+from tests.worlds import instance_world
 
 
 @pytest.fixture
@@ -122,3 +127,50 @@ class TestConfig:
             ontology=scenario.ontology,
         )
         assert middleware.behavioural is None
+
+
+class TestFailureContract:
+    """A serial submit fails its handle, as a runtime's does, not the call."""
+
+    #: Plan-only without ``best_effort``, this instance has no feasible
+    #: composition.
+    INSTANCE = generate_instance(1, FuzzSpec(max_activities=6,
+                                             max_services=12))
+
+    def test_serial_and_thread_runtime_fail_alike(self):
+        request = self.INSTANCE.request
+        serial = instance_world(self.INSTANCE).submit(request, execute=False)
+        with MiddlewareRuntime(
+            instance_world(self.INSTANCE), RuntimeConfig(workers=1)
+        ) as runtime:
+            pooled = runtime.submit(request, execute=False)
+            runtime.drain(timeout=60.0)
+        outcomes = [
+            (handle.status, type(handle.exception()), str(handle.exception()))
+            for handle in (serial, pooled)
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is RequestStatus.FAILED
+        assert isinstance(serial.exception(), SelectionError)
+        with pytest.raises(SelectionError):
+            serial.plan()
+
+    def test_the_request_span_is_marked_failed(self):
+        with observability.enabled() as obs:
+            middleware = instance_world(self.INSTANCE)
+        middleware.submit(self.INSTANCE.request, execute=False)
+        statuses = [
+            span.attributes["status"] for span in obs.tracer.all_spans()
+            if span.name == "runtime.request"
+        ]
+        assert statuses == ["failed"]
+
+    def test_base_exceptions_still_propagate(
+        self, middleware, scenario, monkeypatch
+    ):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(middleware.worker_state, "compose", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            middleware.submit(scenario.request, execute=False)

@@ -14,7 +14,6 @@ from repro.env.environment import PervasiveEnvironment
 from repro.experiments.fuzzing import FuzzInstance
 from repro.middleware.config import MiddlewareConfig
 from repro.middleware.qasom import QASOM
-from repro.qos.model import build_end_to_end_model
 from repro.qos.properties import STANDARD_PROPERTIES
 from repro.semantics.ontology import Ontology
 from repro.services.generator import ServiceGenerator
@@ -24,10 +23,6 @@ PROPS = {
     for name in ("response_time", "cost", "availability", "reliability")
 }
 CAPS = ("task:Alpha", "task:Beta", "task:Gamma")
-
-#: Built once: a world's QoS model is read-only, and building it is most
-#: of what building a small world costs.
-QOS_MODEL = build_end_to_end_model()
 
 
 def build_world(seed=17, services=8, profiles=5, repeats=2):
@@ -71,7 +66,7 @@ def instance_world(instance: FuzzInstance) -> QASOM:
                 dataclasses.replace(service, service_id="")
             )
     return QASOM(
-        environment, instance.properties, qos_model=QOS_MODEL,
+        environment, instance.properties,
         config=MiddlewareConfig(
             aggregation=instance.approach,
             qassa=QassaConfig(seed=instance.seed),
