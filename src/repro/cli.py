@@ -193,7 +193,7 @@ def _print_trace(obs, out) -> None:
 
 
 def _export_observability(args: argparse.Namespace, obs, out,
-                          forensics=None) -> None:
+                          events=None) -> None:
     if args.metrics_out:
         records = observability.write_jsonl(obs, args.metrics_out)
         print(f"\nobservability: wrote {records} records to "
@@ -218,7 +218,7 @@ def _export_observability(args: argparse.Namespace, obs, out,
         stage = ("request" if len(windows.stage("request")) else "execution")
         verdicts = args.slo.evaluate(
             windows.stage(stage).series(), windows.availability(),
-            forensics=forensics,
+            events=events,
         )
         print(f"\nSLO on the {stage!r} stage:", file=out)
         print(observability.render_slo_table(verdicts, args.slo), file=out)
@@ -385,7 +385,7 @@ def _serve_scenario(args, scenario, middleware, obs, out) -> int:
     if obs is not None:
         if args.trace:
             _print_trace(obs, out)
-        _export_observability(args, obs, out, forensics=runtime.forensics)
+        _export_observability(args, obs, out, events=runtime.events)
     _report_forensics(args, runtime, out)
     # Exit code reflects broker health, not workload luck: a rejected,
     # expired or errored request fails the run; an execution that ran to

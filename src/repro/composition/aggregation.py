@@ -249,17 +249,20 @@ class CompiledAggregation:
         return self.vector(self(self.rows(assignments)))
 
     def bounds(
-        self, extremes: Mapping[str, Mapping[str, Tuple[float, float]]]
+        self,
+        pools: Mapping[str, Tuple[Row, Row]],
+        fixed: Mapping[str, Row] = {},
     ) -> Tuple[Row, Row]:
-        """(best, worst) aggregate rows from the per-activity ``(best,
-        worst)`` values of each property (property -> activity -> pair):
-        every formula is monotone in each value."""
-        sides: Tuple[Dict[str, Dict[str, float]], ...] = ({}, {})
-        for name, per_activity in extremes.items():
-            for activity, pair in per_activity.items():
-                for side, values in zip(pair, sides):
-                    values.setdefault(activity, {})[name] = side
-        return tuple(self._fold(self.rows(values)) for values in sides)
+        """The lowest and highest aggregate rows from each activity's
+        ``(low, high)`` pool rows, or its ``fixed`` row: every formula
+        folds each column on its own and is monotone in each value."""
+        return tuple(
+            self._fold([
+                fixed[name] if name in fixed else pools[name][side]
+                for name in self.activities
+            ])
+            for side in (0, 1)
+        )
 
 
 def aggregate_values(
@@ -303,14 +306,10 @@ def aggregation_bounds(
     per_activity_extremes: Mapping[str, tuple],
     approach: AggregationApproach = AggregationApproach.PESSIMISTIC,
 ) -> tuple:
-    """(best, worst) achievable aggregate for one property.
-
-    ``per_activity_extremes`` maps activity names to ``(best, worst)`` raw
-    values over that activity's candidate set.  The bounds feed utility
-    normalisation of aggregated QoS and the feasibility pre-check of QASSA's
-    global phase.
-    """
-    best, worst = CompiledAggregation(
-        task.root, {prop.name: prop}, approach
-    ).bounds({prop.name: per_activity_extremes})
+    """(best, worst) achievable aggregate for one property, from each
+    activity's ``(best, worst)`` raw values (``per_activity_extremes``)."""
+    aggregation = CompiledAggregation(task.root, {prop.name: prop}, approach)
+    best, worst = aggregation.bounds({
+        a: ((b,), (w,)) for a, (b, w) in per_activity_extremes.items()
+    })
     return best[0], worst[0]

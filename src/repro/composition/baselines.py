@@ -72,6 +72,21 @@ _Scored = Tuple[float, Dict[str, ServiceDescription], QoSVector]
 _Found = Tuple[Optional[_Scored], Optional[_Scored]]
 
 
+def _local_scores(
+    candidates: CandidateSets, name: str,
+    relevant: Mapping[str, QoSProperty], weights: Mapping[str, float],
+) -> List[Tuple[float, ServiceDescription]]:
+    """``(local SAW utility, service)`` for each of activity ``name``'s
+    candidates in pool order, normalised over its pool table's spans."""
+    table = candidates.tables(tuple(relevant))[name]
+    spans = zip(table.low, table.high)
+    normalizer = Normalizer(relevant, dict(zip(relevant, spans)))
+    return [
+        (service_utility(s.advertised_qos, normalizer, weights), s)
+        for s in candidates[name]
+    ]
+
+
 def _first_maxima(scored: Iterable[Tuple[bool, _Scored]]) -> _Found:
     """The best feasible and the best overall of ``(feasible, scored)``
     pairs in exploration order: only a strictly higher utility replaces an
@@ -168,17 +183,11 @@ class _BaseSelector:
                 # they must actually be *ranked*: score each non-primary
                 # candidate with the activity's local SAW utility and keep
                 # the best (candidate order breaks exact ties).
-                pool = candidates[name]
-                local_norm = Normalizer.from_vectors(
-                    [s.advertised_qos for s in pool], relevant
+                scored = _local_scores(candidates, name, relevant, weights)
+                scored.sort(key=lambda pair: -pair[0])
+                ranked.extend(
+                    [s for _, s in scored if s != primary][:alternates]
                 )
-                scored = sorted(
-                    (s for s in pool if s != primary),
-                    key=lambda s: -service_utility(
-                        s.advertised_qos, local_norm, weights
-                    ),
-                )
-                ranked.extend(scored[:alternates])
             selections[name] = SelectedActivity(name, ranked)
         return CompositionPlan(
             task=request.task,
@@ -250,14 +259,9 @@ class GreedySelection(_BaseSelector):
         )
         assignment: Dict[str, ServiceDescription] = {}
         for name in candidates.activity_names():
-            services = candidates[name]
-            local_norm = Normalizer.from_vectors(
-                [s.advertised_qos for s in services], aggregation.properties
+            scored = _local_scores(
+                candidates, name, aggregation.properties, weights
             )
-            scored = [
-                (service_utility(s.advertised_qos, local_norm, weights), s)
-                for s in services
-            ]
             stats.utility_evaluations += len(scored)
             assignment[name] = max(scored, key=lambda pair: pair[0])[1]
 

@@ -63,6 +63,7 @@ from repro.composition.selection import (
     SelectionStatistics,
     evaluate_assignment,
     global_scoring,
+    pool_bounds,
 )
 from repro.composition.utility import row_utility
 
@@ -148,13 +149,13 @@ class ExactSelection(_BaseSelector):
         candidates: CandidateSets,
         relevant: Mapping[str, QoSProperty],
     ) -> Dict[str, List[_Candidate]]:
+        tables = candidates.tables(tuple(relevant))
         pools: Dict[str, List[_Candidate]] = {}
         for name in names:
             pool: List[_Candidate] = []
             for index, service in enumerate(candidates[name]):
-                row = []
-                for pname, prop in relevant.items():
-                    value = service.advertised_qos.get(pname)
+                row = tables[name].rows[index]
+                for (pname, prop), value in zip(relevant.items(), row):
                     if value is None:
                         raise SelectionError(
                             f"candidate {service.service_id!r} of activity "
@@ -171,8 +172,7 @@ class ExactSelection(_BaseSelector):
                             f"negative value for multiplicative property "
                             f"{pname!r}; bounds would be inadmissible"
                         )
-                    row.append(value)
-                pool.append(_Candidate(index, service, tuple(row)))
+                pool.append(_Candidate(index, service, row))
             pools[name] = pool
         return pools
 
@@ -273,7 +273,7 @@ class ExactSelection(_BaseSelector):
                 survivors = [
                     cand for cand in pool
                     if search.satisfiable(
-                        search.bounds({name: cand.row}, extremes)
+                        search.aggregation.bounds(extremes, {name: cand.row})
                     )
                 ]
                 if len(survivors) != len(pool):
@@ -312,36 +312,14 @@ class _Search:
         self.max_nodes = max_nodes
 
     # -- bounds --------------------------------------------------------
-    @staticmethod
     def pool_extremes(
-        pools: Mapping[str, List[_Candidate]]
+        self, pools: Mapping[str, List[_Candidate]]
     ) -> Dict[str, Tuple[Row, Row]]:
-        """activity -> (min, max) raw values over the pool, as rows."""
-        columns = {
-            name: list(zip(*(cand.row for cand in pool)))
+        """activity -> ``(low, high)`` rows over what is left of its pool."""
+        return {
+            name: pool_bounds(name, [cand.row for cand in pool], self.relevant)
             for name, pool in pools.items()
         }
-        return {
-            name: (tuple(map(min, cols)), tuple(map(max, cols)))
-            for name, cols in columns.items()
-        }
-
-    def bounds(
-        self,
-        fixed: Mapping[str, Row],
-        extremes: Mapping[str, Tuple[Row, Row]],
-    ) -> Tuple[Row, Row]:
-        """Lowest and highest aggregate rows any completion of ``fixed``
-        reaches: every aggregation operator is monotone non-decreasing in
-        each value, so each free activity adds its pool's min (max) row."""
-        activities = self.aggregation.activities
-        return tuple(
-            self.aggregation([
-                fixed[name] if name in fixed else extremes[name][side]
-                for name in activities
-            ])
-            for side in (0, 1)
-        )
 
     def satisfiable(self, bounds: Tuple[Row, Row]) -> bool:
         """Whether some completion within ``bounds`` can still satisfy
@@ -447,7 +425,7 @@ class _Search:
                     best_payload = (utility, assignment, aggregated)
                 return
             if enforce_constraints or best_utility is not None:
-                bounds = self.bounds(fixed_rows, extremes)
+                bounds = self.aggregation.bounds(extremes, fixed_rows)
             if enforce_constraints and not self.satisfiable(bounds):
                 self.stats.extra["pruned_infeasible"] = (
                     self.stats.extra.get("pruned_infeasible", 0.0) + 1.0

@@ -68,6 +68,7 @@ from repro.composition.request import UserRequest
 from repro.composition.selection import (
     CandidateSets,
     CompositionPlan,
+    PoolTable,
     SelectedActivity,
     SelectionStatistics,
     make_global_normalizer,
@@ -115,7 +116,7 @@ class LocalSelection:
     primaries, but still valid substitutes when the non-dominated pool is
     too small to fill the alternates quota.
 
-    ``services``, ``normalizer``, ``clustering_iterations``, ``extremes``
+    ``services``, ``normalizer``, ``clustering_iterations``, ``bounds``
     and ``rows`` come from the weight-free stage (shared by every request
     over the same pool and properties); ``utilities``, ``levels`` and the
     ``reserve`` order come from the request's weights.  Every instance has
@@ -129,10 +130,9 @@ class LocalSelection:
     normalizer: Normalizer
     clustering_iterations: int
     reserve: List[ServiceDescription] = field(default_factory=list)
-    #: Per-property ``(best, worst)`` advertised values over the *full*
-    #: candidate set (pruned ones included) — lets the global normaliser be
-    #: rebuilt from cached local selections without rescanning candidates.
-    extremes: Dict[str, Tuple[float, float]] = field(default_factory=dict)
+    #: The *full* pool's ``(low, high)`` rows (pruned ones included): the
+    #: global normaliser is rebuilt from them without rescanning the pool.
+    bounds: Tuple[Row, Row] = ((), ())
     #: Each of ``services``' values over the relevant properties in request
     #: order (None if it lacks one): the rows the global phase aggregates.
     rows: Tuple[Optional[Row], ...] = ()
@@ -153,7 +153,7 @@ class QASSA:
     cache:
         Optional :class:`~repro.composition.selection_cache.SelectionCache`.
         When present, each activity's weight-free local stage (normaliser,
-        extremes, Pareto pruning, k-means clusters) is reused across
+        pool bounds, Pareto pruning, k-means clusters) is reused across
         ``select()`` and ``local_selections()`` calls whenever the
         activity's candidate pool is in a state the cache keeps under the
         same relevant properties — a new weight profile only re-ranks the
@@ -495,38 +495,24 @@ class QASSA:
         stats: SelectionStatistics,
     ) -> Tuple:
         """The part of the local phase the weights never enter: restrict
-        and normalise the candidates' QoS, record the per-property
-        extremes, prune the Pareto-dominated candidates, cluster the kept
-        ones and take their rows.
+        and normalise the candidates' QoS, build the pool's table, prune
+        the Pareto-dominated candidates, cluster the kept ones and take
+        their rows.
 
-        Returns ``(kept, pruned, normalizer, extremes, clustering, rows)``:
+        Returns ``(kept, pruned, normalizer, bounds, clustering, rows)``:
         the kept and the pruned ``(pool position, normalised point)``
-        pairs in pool order, the local normaliser, the per-property
-        ``(best, worst)`` values over the whole pool, the kept points'
-        k-means result and :attr:`LocalSelection.rows`.  It names no
-        service, so the cache can serve it to any pool with the same
-        fingerprint, and each request maps the positions onto its own
-        pool.  Nothing downstream mutates it.
+        pairs in pool order, the local normaliser, the whole pool's
+        ``(low, high)`` rows, the kept points' k-means result and
+        :attr:`LocalSelection.rows`.  It names no service, so the cache
+        can serve it to any pool with the same fingerprint, and each
+        request maps the positions onto its own pool.  Nothing downstream
+        mutates it.
         """
         vectors = [s.advertised_qos.restrict(relevant) for s in services]
         normalizer = Normalizer.from_vectors(vectors, relevant)
-        # Each candidate's values over the relevant properties in request
-        # order (None where it lacks one): the extremes, the skyline and
-        # the kept rows all read this one table.
+        # One table for the bounds, the skyline and the kept rows.
         names = tuple(relevant)
-        table = [tuple([v.get(n) for n in names]) for v in vectors]
-        extremes: Dict[str, Tuple[float, float]] = {}
-        for column, (pname, prop) in enumerate(relevant.items()):
-            values = [row[column] for row in table if row[column] is not None]
-            if not values:
-                raise SelectionError(
-                    f"no candidate of activity {activity_name!r} advertises "
-                    f"{pname!r}"
-                )
-            extremes[pname] = (
-                prop.direction.best(values),
-                prop.direction.worst(values),
-            )
+        table, low, high = PoolTable.build(activity_name, services, names)
 
         with self.obs.span("qassa.prune", candidates=len(vectors)) as span:
             keep, path = self._non_dominated_indexes(vectors, names, table)
@@ -549,7 +535,7 @@ class QASSA:
         if len(clustering.clusters) < requested and self.obs.enabled:
             self.obs.counter("qassa_levels_collapsed_total").inc()
         rows = tuple(None if None in table[i] else table[i] for i in keep)
-        return kept, pruned, normalizer, extremes, clustering, rows
+        return kept, pruned, normalizer, (low, high), clustering, rows
 
     @staticmethod
     def _weighted_stage(
@@ -562,7 +548,7 @@ class QASSA:
         """The part of the local phase the weights drive: SAW utilities of
         every candidate, the reserve order and the ranking of the cached
         clusters into QoS levels, over ``services``, the request's pool."""
-        kept, pruned, normalizer, extremes, clustering, rows = stage
+        kept, pruned, normalizer, bounds, clustering, rows = stage
         scored = [
             (point_utility(point, weights), services[i]) for i, point in pruned
         ]
@@ -577,7 +563,7 @@ class QASSA:
             normalizer=normalizer,
             clustering_iterations=clustering.iterations,
             reserve=[service for _, service in scored],
-            extremes=dict(extremes),
+            bounds=bounds,
             rows=rows,
         )
 
@@ -807,8 +793,7 @@ class _AssignmentScorer:
             request.task.root, relevant, approach
         )
         self.normalizer = make_global_normalizer(self.aggregation, {
-            pname: {name: locals_[name].extremes[pname] for name in names}
-            for pname in relevant
+            name: locals_[name].bounds for name in names
         })
         self.terms = self.normalizer.terms(
             request.normalised_weights(relevant), tuple(relevant)

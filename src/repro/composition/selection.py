@@ -15,6 +15,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -29,6 +30,7 @@ from repro.services.description import ServiceDescription
 from repro.composition.aggregation import (
     AggregationApproach,
     CompiledAggregation,
+    Row,
     aggregate_composition,
 )
 from repro.composition.request import UserRequest
@@ -84,6 +86,7 @@ class CandidateSets:
             if not services:
                 raise NoCandidateError(activity.name)
             self._sets[activity.name] = services
+        self._tables: Dict[Tuple[str, ...], Dict[str, PoolTable]] = {}
 
     def __getitem__(self, activity_name: str) -> List[ServiceDescription]:
         return self._sets[activity_name]
@@ -107,24 +110,54 @@ class CandidateSets:
             total *= len(services)
         return total
 
-    def extremes(
-        self, property_name: str, prop: QoSProperty
-    ) -> Dict[str, Tuple[float, float]]:
-        """Per-activity (best, worst) advertised values for one property."""
-        result: Dict[str, Tuple[float, float]] = {}
-        for name, services in self._sets.items():
-            values = [
-                s.advertised_qos[property_name]
-                for s in services
-                if property_name in s.advertised_qos
-            ]
-            if not values:
-                raise SelectionError(
-                    f"no candidate of activity {name!r} advertises "
-                    f"{property_name!r}"
-                )
-            result[name] = (prop.direction.best(values), prop.direction.worst(values))
-        return result
+    def tables(self, names: Tuple[str, ...]) -> Dict[str, "PoolTable"]:
+        """Each activity's :class:`PoolTable` over ``names``, built once."""
+        if names not in self._tables:
+            self._tables[names] = {
+                name: PoolTable.build(name, services, names)
+                for name, services in self._sets.items()
+            }
+        return self._tables[names]
+
+
+class PoolTable(NamedTuple):
+    """One pool's values over a tuple of properties: ``rows`` holds each
+    service's values in pool order (None where one is missing), ``low``
+    and ``high`` each column's min and max."""
+
+    rows: Tuple[Tuple[Optional[float], ...], ...]
+    low: Row
+    high: Row
+
+    @classmethod
+    def build(
+        cls, activity_name: str, services: Sequence[ServiceDescription],
+        names: Sequence[str],
+    ) -> "PoolTable":
+        """The table of ``activity_name``'s pool ``services``."""
+        rows = tuple([
+            tuple([s.advertised_qos.get(n) for n in names]) for s in services
+        ])
+        return cls(rows, *pool_bounds(activity_name, rows, names))
+
+
+def pool_bounds(
+    activity_name: str, rows: Sequence[Sequence], names: Sequence[str]
+) -> Tuple[Row, Row]:
+    """The ``(low, high)`` rows of a pool's ``rows`` over ``names``: each
+    column's min and max, None skipped.  A column with no value raises
+    :class:`~repro.errors.SelectionError`."""
+    columns = [
+        [row[i] for row in rows if row[i] is not None]
+        for i in range(len(names))
+    ]
+    for name, values in zip(names, columns):
+        if not values:
+            raise SelectionError(
+                f"no candidate of activity {activity_name!r} advertises "
+                f"{name!r}"
+            )
+    return tuple(map(min, columns)), tuple(map(max, columns))
 
 
 @dataclass
@@ -273,21 +306,20 @@ def relevant_properties(
 
 def make_global_normalizer(
     aggregation: CompiledAggregation,
-    extremes: Mapping[str, Mapping[str, Tuple[float, float]]],
+    pools: Mapping[str, Tuple[Row, Row]],
 ) -> Normalizer:
-    """A normaliser over *aggregated* QoS, from per-activity extremes.
+    """A normaliser over *aggregated* QoS, from each activity's pool
+    ``(low, high)`` rows (:class:`PoolTable`'s, or QASSA's local phase's).
 
-    ``extremes`` maps each property to :meth:`CandidateSets.extremes` (or
-    the same pairs from QASSA's local phase).  Spans are the best/worst
-    achievable aggregates under ``aggregation``; any concrete
-    composition's aggregated QoS falls inside them, so utilities are
-    comparable across selection algorithms (the optimality metric of
-    §VI.3.2 depends on this).
+    Spans are the lowest and highest achievable aggregates under
+    ``aggregation``; any concrete composition's aggregated QoS falls
+    inside them, so utilities are comparable across selection algorithms
+    (the optimality metric of §VI.3.2 depends on this).
     """
-    best, worst = aggregation.bounds(extremes)
+    low, high = aggregation.bounds(pools)
     return Normalizer(aggregation.properties, {
-        name: (min(b, w), max(b, w))
-        for name, b, w in zip(aggregation.properties, best, worst)
+        name: (min(lo, hi), max(lo, hi))
+        for name, lo, hi in zip(aggregation.properties, low, high)
     })
 
 
@@ -300,13 +332,13 @@ def global_scoring(
     """What :func:`evaluate_assignment` needs to score ``request``'s
     assignments over ``candidates``: the weights, the aggregation compiled
     over the relevant properties and the global normaliser built from
-    :meth:`CandidateSets.extremes`."""
+    :meth:`CandidateSets.tables`."""
     relevant = relevant_properties(properties, request)
     weights = request.normalised_weights(relevant)
     aggregation = CompiledAggregation(request.task.root, relevant, approach)
     normalizer = make_global_normalizer(aggregation, {
-        name: candidates.extremes(name, prop)
-        for name, prop in relevant.items()
+        name: (table.low, table.high)
+        for name, table in candidates.tables(tuple(relevant)).items()
     })
     return weights, aggregation, normalizer
 

@@ -14,7 +14,7 @@ Design notes
 ------------
 
 * The payload is *opaque* to this module (QASSA stores its weight-free
-  stage: normaliser, extremes, kept and pruned pool positions with their
+  stage: normaliser, pool bounds, kept and pruned pool positions with their
   normalised points, k-means clusters) so the cache carries no import
   dependency on the selector — the selector depends on the cache, never
   the reverse.  Payloads are shared by every later run that hits them, so

@@ -25,6 +25,7 @@ from repro.services.generator import (
 )
 from repro.composition.aggregation import (
     AggregationApproach,
+    CompiledAggregation,
     aggregation_bounds,
 )
 from repro.composition.request import GlobalConstraint, UserRequest
@@ -134,12 +135,15 @@ def constraints_at_tightness(
     approach: AggregationApproach = AggregationApproach.PESSIMISTIC,
 ) -> Tuple[GlobalConstraint, ...]:
     """Constraints interpolated between best and worst achievable aggregates."""
+    constrained = {name: properties[name] for name in names}
+    low, high = CompiledAggregation(task.root, constrained, approach).bounds({
+        activity: (table.low, table.high)
+        for activity, table in candidates.tables(tuple(constrained)).items()
+    })
     constraints = []
-    for name in names:
-        prop = properties[name]
-        best, worst = aggregation_bounds(
-            task, prop, candidates.extremes(name, prop), approach
-        )
+    for prop, lo, hi in zip(constrained.values(), low, high):
+        negative = prop.direction is Direction.NEGATIVE
+        best, worst = (lo, hi) if negative else (hi, lo)
         bound = best + tightness * (worst - best)
         constraints.append(GlobalConstraint.natural(prop, bound))
     return tuple(constraints)

@@ -367,6 +367,7 @@ class QASOM:
             TraceContext.mint() if self.observability.enabled else None
         )
         handle.trace_context = context
+        handle.trace_id = context.trace_id if context is not None else None
         task = spec.plan.task if spec.request is None else spec.request.task
         result = error = None
         # Mirror the pooled runtime's span shape: one ``runtime.request``

@@ -6,7 +6,8 @@ crashed worker or a breached SLO can be debugged from after the fact.
 Every lifecycle edge the runtime crosses (admission verdicts, adaptive
 depth changes, worker pickups, chaos injections, stalls, crashes,
 restarts, requeues, retry-budget denials, commits, deadline expiries,
-completions, failures, cancellations, invariant violations) is one
+completions, failures, cancellations, invariant violations) and every
+windowed SLO breach is one
 :meth:`EventStream.emit`: one :class:`RuntimeEvent` in the ring, stamped
 with wall time, simulated time, the request's trace id, and a global
 sequence number, plus what :data:`EFFECTS` lists for the kind.  Every
@@ -51,6 +52,7 @@ REQUEST_DONE = "request.done"
 REQUEST_FAILED = "request.failed"
 REQUEST_CANCELLED = "request.cancelled"
 INVARIANT_VIOLATION = "invariant.violation"
+SLO_BREACH = "slo.breach"
 
 
 @dataclass(frozen=True)
@@ -257,6 +259,7 @@ EFFECTS: Dict[str, Effect] = {
     REQUEST_FAILED: Effect(counter="runtime_failed_total"),
     REQUEST_CANCELLED: Effect(counter="runtime_cancelled_total"),
     INVARIANT_VIOLATION: Effect(bundle="invariant_violation"),
+    SLO_BREACH: Effect(counter="slo_breaches_total", bundle="slo_breach"),
 }
 
 

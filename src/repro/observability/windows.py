@@ -37,6 +37,7 @@ from typing import (
     Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from repro.observability.events import SLO_BREACH, EventStream
 from repro.observability.exporters import render_table, write_atomic
 from repro.observability.metrics import DEFAULT_BUCKETS, Histogram
 from repro.observability.spans import Span
@@ -453,7 +454,7 @@ class Slo:
         self,
         windows: Sequence[WindowStats],
         availability: Optional[Mapping[int, float]] = None,
-        forensics: Optional[Any] = None,
+        events: Optional[EventStream] = None,
     ) -> List[SloVerdict]:
         """Judge each latency window (seconds-valued) against the SLO.
 
@@ -461,10 +462,11 @@ class Slo:
         :meth:`StageWindows.availability` or a driver report's); windows
         absent from the mapping are judged on latency alone.
 
-        ``forensics`` (a
-        :class:`~repro.observability.forensics.ForensicReporter`) turns a
-        breach into an anomaly trigger: each failed verdict dumps a
-        ``slo_breach`` bundle scoped to the window's exemplar request.
+        ``events`` (a runtime's :class:`EventStream`) records each failed
+        verdict as one ``slo.breach`` event on the window's exemplar
+        request: a ``slo_breaches_total`` count, a ring entry and a
+        ``slo_breach`` forensic bundle
+        (:data:`~repro.observability.events.EFFECTS`).
         """
         verdicts = []
         for stats in windows:
@@ -497,10 +499,10 @@ class Slo:
                 exemplar_trace_id=stats.exemplar_trace_id,
             )
             verdicts.append(verdict)
-            if forensics is not None and not verdict.passed:
-                forensics.trigger(
-                    "slo_breach",
-                    trace_id=verdict.exemplar_trace_id,
+            if events is not None and not verdict.passed:
+                events.emit(
+                    SLO_BREACH,
+                    verdict.exemplar_trace_id,
                     window=verdict.index,
                     window_start=verdict.start,
                     failures=list(verdict.failures),

@@ -132,6 +132,9 @@ class RunHandle:
         #: replaced by a child context so crash-requeued retries nest
         #: under the first attempt's root — one span tree per request.
         self.trace_context = None
+        #: The request's trace id: the minted context's, None when none
+        #: was minted.  A child context keeps it.
+        self.trace_id: Optional[str] = None
         self._done = threading.Event()
         self._status = RequestStatus.QUEUED
         self._result: Optional["RunResult"] = None
@@ -227,16 +230,6 @@ class RunHandle:
         self._await(timeout)
         self._raise_if_failed()
         return list(self._plans)
-
-    @property
-    def trace_id(self) -> Optional[str]:
-        """The request's trace id, when a trace context was minted.
-
-        ``getattr`` keeps the property total on partially-constructed
-        handles (tests stub them via ``__new__``).
-        """
-        context = getattr(self, "trace_context", None)
-        return context.trace_id if context is not None else None
 
     # -- latency accounting ---------------------------------------------
     @property

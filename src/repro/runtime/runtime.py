@@ -408,6 +408,7 @@ class MiddlewareRuntime:
             # The request's causal identity, minted exactly once; every
             # span and flight-recorder event it produces carries this id.
             handle.trace_context = TraceContext.mint()
+            handle.trace_id = handle.trace_context.trace_id
         self._counter("runtime_submitted_total").inc()
         self.admission.on_arrival(handle.submitted_sim)
         with self._lock:

@@ -14,11 +14,16 @@ from repro.composition.baselines import (
     GeneticSelection,
     GreedySelection,
     RandomSelection,
+    _local_scores,
 )
 from repro.composition.exact import ExactSelection
 from repro.composition.qassa import QASSA
 from repro.composition.request import GlobalConstraint, UserRequest
-from repro.composition.selection import CandidateSets, evaluate_assignment
+from repro.composition.selection import (
+    CandidateSets,
+    evaluate_assignment,
+    relevant_properties,
+)
 from repro.composition.task import Task, leaf, sequence
 from repro.composition.utility import Normalizer, service_utility
 
@@ -110,6 +115,42 @@ class TestGreedy:
         request, candidates = build_problem(rt_bound=0.001)
         with pytest.raises(SelectionError):
             GreedySelection(PROPS).select(request, candidates, best_effort=False)
+
+    def test_local_spans_match_from_vectors_when_a_value_is_missing(self):
+        request, candidates = build_problem(seed=2)
+        pools = {name: list(candidates[name]) for name in candidates}
+        # Strip the cheapest A0 candidate's cost: the span must then come
+        # from the candidates that do advertise one.
+        cheapest = min(pools["A0"], key=lambda s: s.advertised_qos["cost"])
+        index = pools["A0"].index(cheapest)
+        pools["A0"][index] = cheapest.with_qos(
+            cheapest.advertised_qos.restrict(["response_time", "availability"])
+        )
+        candidates = CandidateSets(request.task, pools)
+        relevant = relevant_properties(PROPS, request)
+        weights = request.normalised_weights(relevant)
+        tables = candidates.tables(tuple(relevant))
+        cost = list(relevant).index("cost")
+        assert tables["A0"].rows[index][cost] is None
+        assert tables["A0"].low[cost] > cheapest.advertised_qos["cost"]
+        plan = GreedySelection(PROPS).select(
+            request, candidates, best_effort=True
+        )
+        for name, pool in pools.items():
+            reference = Normalizer.from_vectors(
+                [s.advertised_qos for s in pool], relevant
+            )
+            assert list(zip(tables[name].low, tables[name].high)) == [
+                reference.span(n) for n in relevant
+            ]
+            scored = [
+                (service_utility(s.advertised_qos, reference, weights), s)
+                for s in pool
+            ]
+            assert _local_scores(candidates, name, relevant, weights) == scored
+            assert plan.selections[name].primary is max(
+                scored, key=lambda pair: pair[0]
+            )[1]
 
 
 class TestRandom:
@@ -287,7 +328,8 @@ class TestRandomBestOfAttempts:
             request.task.root, relevant, ExhaustiveSelection(PROPS).approach
         )
         normalizer = make_global_normalizer(aggregation, {
-            n: candidates.extremes(n, p) for n, p in relevant.items()
+            name: (table.low, table.high)
+            for name, table in candidates.tables(tuple(relevant)).items()
         })
         rng = random.Random(seed)
         names = candidates.activity_names()

@@ -11,13 +11,25 @@ from repro.composition.aggregation import (
     CompiledAggregation,
 )
 from repro.composition.request import GlobalConstraint, UserRequest
+from repro.composition.baselines import GreedySelection
+from repro.composition.exact import ExactSelection
 from repro.composition.selection import (
     CandidateSets,
+    PoolTable,
     SelectedActivity,
     evaluate_assignment,
+    global_scoring,
     make_global_normalizer,
 )
 from repro.composition.task import Task, leaf, sequence
+
+
+def table_bounds(candidates, props):
+    """Each activity's ``(low, high)`` rows over ``props``."""
+    return {
+        name: (table.low, table.high)
+        for name, table in candidates.tables(tuple(props)).items()
+    }
 
 
 class TestCandidateSets:
@@ -39,22 +51,50 @@ class TestCandidateSets:
         assert small_candidates.sizes() == {"A": 10, "B": 10, "C": 10}
         assert small_candidates.search_space() == 1000
 
-    def test_extremes_direction_aware(self, small_candidates, props4):
-        extremes = small_candidates.extremes("response_time", RESPONSE_TIME)
-        for best, worst in extremes.values():
-            assert best <= worst  # negative property: best is the minimum
+    def test_table_rows_and_column_bounds(self, small_candidates, props4):
+        names = tuple(props4)
+        for name, table in small_candidates.tables(names).items():
+            pool = small_candidates[name]
+            assert table.rows == tuple(
+                tuple(s.advertised_qos[n] for n in names) for s in pool
+            )
+            for column, n in enumerate(names):
+                values = [s.advertised_qos[n] for s in pool]
+                assert table.low[column] == min(values)
+                assert table.high[column] == max(values)
+        # A negative property's best value is its column's low.
+        column = names.index("response_time")
+        for table in small_candidates.tables(names).values():
+            best = RESPONSE_TIME.direction.best(
+                row[column] for row in table.rows
+            )
+            assert best == table.low[column] <= table.high[column]
 
-    def test_extremes_missing_property_raises(self, small_task, generator):
+    def test_table_missing_property_raises(self, small_task, generator):
         candidates = CandidateSets(
             small_task,
             {a.name: generator.candidates(a.capability, 2)
              for a in small_task.activities},
         )
-        from repro.qos.properties import STANDARD_PROPERTIES
+        with pytest.raises(SelectionError, match="security_level"):
+            candidates.tables(("security_level",))
 
-        with pytest.raises(SelectionError):
-            candidates.extremes("security_level",
-                                STANDARD_PROPERTIES["security_level"])
+    def test_each_table_is_built_once_for_greedy_and_exact(
+        self, small_candidates, props4, loose_request, monkeypatch
+    ):
+        built = []
+        build = PoolTable.build.__func__
+
+        def counting(cls, activity_name, services, names):
+            built.append(activity_name)
+            return build(cls, activity_name, services, names)
+
+        monkeypatch.setattr(PoolTable, "build", classmethod(counting))
+        GreedySelection(props4).select(
+            loose_request, small_candidates, best_effort=True, alternates=2
+        )
+        ExactSelection(props4).select(loose_request, small_candidates)
+        assert sorted(built) == ["A", "B", "C"]
 
 
 class TestSelectedActivity:
@@ -76,9 +116,9 @@ class TestGlobalNormalizer:
         aggregation = CompiledAggregation(
             small_task.root, props4, AggregationApproach.PESSIMISTIC
         )
-        normalizer = make_global_normalizer(aggregation, {
-            n: small_candidates.extremes(n, p) for n, p in props4.items()
-        })
+        normalizer = make_global_normalizer(
+            aggregation, table_bounds(small_candidates, props4)
+        )
         # Any concrete assignment's aggregate must be inside the spans.
         assignment = {
             name: small_candidates[name][0]
@@ -109,11 +149,9 @@ class TestNormalizerEdgeCases:
         )
         props = {"security_level": STANDARD_PROPERTIES["security_level"]}
         with pytest.raises(SelectionError):
-            make_global_normalizer(
-                CompiledAggregation(
-                    small_task.root, props, AggregationApproach.PESSIMISTIC
-                ),
-                {n: candidates.extremes(n, p) for n, p in props.items()},
+            global_scoring(
+                props, UserRequest(small_task), candidates,
+                AggregationApproach.PESSIMISTIC,
             )
 
     def test_single_candidate_degenerate_spans(
@@ -129,9 +167,9 @@ class TestNormalizerEdgeCases:
         aggregation = CompiledAggregation(
             small_task.root, props4, AggregationApproach.PESSIMISTIC
         )
-        normalizer = make_global_normalizer(aggregation, {
-            n: candidates.extremes(n, p) for n, p in props4.items()
-        })
+        normalizer = make_global_normalizer(
+            aggregation, table_bounds(candidates, props4)
+        )
         assignment = {
             name: candidates[name][0] for name in candidates.activity_names()
         }
@@ -157,7 +195,7 @@ class TestNormalizerEdgeCases:
             CompiledAggregation(
                 small_task.root, props4, AggregationApproach.PESSIMISTIC
             ),
-            {n: small_candidates.extremes(n, p) for n, p in props4.items()},
+            table_bounds(small_candidates, props4),
         )
         assignment = {
             name: small_candidates[name][0]

@@ -174,6 +174,7 @@ class TestDriverReport:
         spec = RunSpec(plan=None, request=object.__new__(UserRequest))
         handle = RunHandle.__new__(RunHandle)
         handle.spec = spec
+        handle.trace_id = None
         handle._status = status
         handle.submitted_sim = arrival
         handle.finished_sim = (

@@ -3,7 +3,7 @@
 Every lifecycle edge goes through :meth:`EventStream.emit`, and one emit
 leaves exactly what :data:`EFFECTS` lists for its kind: a counter, a
 marker span carrying the event's attributes, a ring entry and, for
-``invariant.violation``, a forensic bundle.
+``invariant.violation`` and ``slo.breach``, a forensic bundle.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from repro.observability import events as rt_events
 from repro.observability.events import (
     EFFECTS,
     INVARIANT_VIOLATION,
+    SLO_BREACH,
     EventStream,
     FlightRecorder,
 )
-from repro.observability.forensics import ForensicReporter
+from repro.observability.forensics import BUNDLE_SCHEMA, ForensicReporter
 from repro.resilience import FaultSchedule
 from repro.runtime import (
     MiddlewareRuntime,
@@ -169,3 +170,56 @@ class TestInvariantViolation:
         last = bundle["events"][-1]
         assert last["kind"] == INVARIANT_VIOLATION
         assert last["attributes"] == bundle["context"]
+
+
+class TestSloBreach:
+    def test_cli_serve_slo_records_each_breach_and_dumps_its_bundle(
+        self, tmp_path, monkeypatch
+    ):
+        # A 1 µs p99 bound fails every window with traffic: each failed
+        # verdict is one slo.breach event, one count and one bundle.
+        exported = {}
+        export = cli._export_observability
+
+        def capturing(args, obs, out, events=None):
+            exported.update(obs=obs, events=events)
+            export(args, obs, out, events=events)
+
+        monkeypatch.setattr(cli, "_export_observability", capturing)
+        forensics = tmp_path / "forensics"
+        out = io.StringIO()
+        code = cli.main(
+            ["scenario", "shopping", "--serve", "--workers", "2",
+             "--requests", "8", "--slo", "0.001",
+             "--forensics", str(forensics)],
+            out=out,
+        )
+        assert code == 0
+        breaches = [
+            event for event in exported["events"].recorder.events()
+            if event.kind == SLO_BREACH
+        ]
+        paths = sorted(glob.glob(str(forensics / "*slo_breach.json")))
+        assert breaches and len(paths) == len(breaches)
+        assert out.getvalue().count("FAIL: p99") == len(breaches)
+        (count,) = [
+            record["value"] for record in exported["obs"].metrics.snapshot()
+            if record["name"] == "slo_breaches_total"
+        ]
+        assert count == len(breaches)
+        recorded = exported["events"].recorder.recorded_total
+        assert (
+            f"{recorded} runtime events recorded, {len(paths)} bundles"
+            in out.getvalue()
+        )
+        for event, path in zip(breaches, paths):
+            with open(path) as stream:
+                bundle = json.load(stream)
+            assert bundle["schema"] == BUNDLE_SCHEMA
+            assert bundle["reason"] == "slo_breach"
+            assert bundle["trace_id"] == event.trace_id
+            assert bundle["context"] == event.attributes
+            assert set(bundle["context"]) == {
+                "window", "window_start", "failures", "slo",
+            }
+            assert bundle["trace_events"][-1]["kind"] == SLO_BREACH

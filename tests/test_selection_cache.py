@@ -19,7 +19,7 @@ from repro.services.generator import ServiceGenerator
 from repro.composition.clustering import build_qos_levels, kmeans, rank_levels
 from repro.composition.qassa import QASSA, QassaConfig
 from repro.composition.request import GlobalConstraint, UserRequest
-from repro.composition.selection import CandidateSets
+from repro.composition.selection import CandidateSets, PoolTable
 from repro.composition.selection_cache import SelectionCache
 from repro.composition.task import Task, leaf, sequence
 from repro.composition.utility import service_utility
@@ -62,7 +62,7 @@ def local_signature(selection):
         ],
         [s.service_id for s in selection.reserve],
         selection.normalizer.properties,
-        selection.extremes,
+        selection.bounds,
         selection.clustering_iterations,
     )
 
@@ -161,6 +161,33 @@ class TestIncrementalQassa:
             == cold.statistics.utility_evaluations
         )
 
+    def test_a_warm_select_with_new_weights_builds_no_table(
+        self, monkeypatch
+    ):
+        # The pool table is part of the weight-free stage: built once per
+        # pool on the cold select, never again on a hit.
+        task, _, pools = build_pools()
+        built = []
+        build = PoolTable.build.__func__
+
+        def counting(cls, activity_name, services, names):
+            built.append(activity_name)
+            return build(cls, activity_name, services, names)
+
+        monkeypatch.setattr(PoolTable, "build", classmethod(counting))
+        selector = QASSA(PROPS, cache=SelectionCache())
+        selector.select(make_request(task), CandidateSets(task, pools))
+        assert built == ["A0", "A1", "A2"]
+        built.clear()
+        other_weights = {"response_time": 3.0, "cost": 1.0,
+                         "availability": 1.0, "reliability": 1.0}
+        plan = selector.select(
+            make_request(task, weights=other_weights),
+            CandidateSets(task, pools),
+        )
+        assert plan.statistics.cache_hits == 3
+        assert built == []
+
     def test_relevant_property_change_is_a_miss(self):
         task, _, pools = build_pools()
         selector = QASSA(PROPS, cache=SelectionCache())
@@ -237,7 +264,6 @@ class TestIncrementalQassa:
         expected = copy.deepcopy(local_signature(first["A0"]))
         first["A0"].services.clear()
         first["A0"].levels[0].centroid.clear()
-        first["A0"].extremes.clear()
         second = selector.local_selections(request, CandidateSets(task, pools))
         assert local_signature(second["A0"]) == expected
 
