@@ -194,12 +194,19 @@ def _print_trace(obs, out) -> None:
 
 def _export_observability(args: argparse.Namespace, obs, out,
                           events=None) -> None:
+    if args.metrics_windows_out or args.slo:
+        _export_windows(args, obs, out, events)
+    # Last, so the dump holds what judging the SLO recorded
+    # (slo_breaches_total).
     if args.metrics_out:
         records = observability.write_jsonl(obs, args.metrics_out)
         print(f"\nobservability: wrote {records} records to "
               f"{args.metrics_out}", file=out)
-    if not (args.metrics_windows_out or args.slo):
-        return
+
+
+def _export_windows(args: argparse.Namespace, obs, out, events) -> None:
+    """The ``--metrics-windows-out`` timeline and the ``--slo`` verdicts,
+    whose breaches ``events`` records."""
     windows = observability.StageWindows()
     windows.ingest_observability(obs)
     if args.metrics_windows_out:

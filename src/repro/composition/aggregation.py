@@ -35,9 +35,10 @@ pattern (the composition waits for the slowest branch) whereas resources
 (money, energy) are consumed by *every* branch.  The distinction is made on
 the property's unit dimension.
 
-Every aggregation runs through :class:`CompiledAggregation`, a tree
-compiled once into a fold over per-activity value rows; the functions
-below compile one per call, selectors one per selection.
+Every aggregation runs through :class:`CompiledAggregation`, a fold over
+per-activity value rows generated once per pattern tree, property tuple
+and approach (:func:`_compile`, memoised); the functions below, the
+selectors, substitution and plan rebinding all share those folds.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from typing import Callable, Dict, List, Mapping, Sequence as Seq, Tuple
 
 from repro.errors import AggregationError
@@ -151,45 +151,96 @@ def _loop(
     return prop.direction.best(extremes)
 
 
-def _compile(
+def _formulas(
     node: Node,
-    positions: Mapping[str, int],
     props: Seq[QoSProperty],
     approach: AggregationApproach,
-) -> Callable[[Seq[Row]], Row]:
-    """``node`` as a function of the rows (one per activity, by
-    ``positions``) to its aggregate row: a composite node applies each
-    property's formula to that property's column of its children's rows."""
-    if isinstance(node, Leaf):
-        return operator.itemgetter(positions[node.activity.name])
+) -> List[Callable[[Tuple[float, ...]], float]]:
+    """A composite ``node``'s formula for each property: each takes the
+    tuple of the node's children's values, in child order.
+
+    Iteration counts and probabilities are bound as floats: trees that
+    differ only in writing one as ``2`` or ``2.0`` are equal, so they
+    share one fold, and must aggregate alike."""
     if isinstance(node, Loop):
-        ops = [
+        return [
             functools.partial(
                 _loop, prop, max_iterations=node.max_iterations,
-                mean_iterations=node.mean_iterations(), approach=approach,
+                mean_iterations=float(node.mean_iterations()),
+                approach=approach,
             )
             for prop in props
         ]
-    elif isinstance(node, (Sequence, Parallel)):
-        ops = [_formula(prop, isinstance(node, Parallel)) for prop in props]
-    elif isinstance(node, Conditional):
-        ops = [
+    if isinstance(node, (Sequence, Parallel)):
+        return [_formula(prop, isinstance(node, Parallel)) for prop in props]
+    if isinstance(node, Conditional):
+        probabilities = tuple(map(float, node.branch_probabilities()))
+        return [
             functools.partial(
                 _conditional, prop,
-                probabilities=node.branch_probabilities(), approach=approach,
+                probabilities=probabilities, approach=approach,
             )
             for prop in props
         ]
-    else:
-        raise AggregationError(f"unknown pattern node: {type(node).__name__}")
-    children = [
-        _compile(child, positions, props, approach)
-        for child in node.children()
+    raise AggregationError(f"unknown pattern node: {type(node).__name__}")
+
+
+#: Generated folds :func:`_compile` keeps, least recently used dropped
+#: first.  Selectors, substitution and plan rebinding meet the same few
+#: task trees again and again; a stream of distinct trees (the fuzz
+#: sweeps) keeps at most this many, about 7 KB each for a four-activity,
+#: four-property tree.
+FOLD_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=FOLD_MEMO_SIZE)
+def _compile(
+    node: Node,
+    props: Tuple[QoSProperty, ...],
+    approach: AggregationApproach,
+) -> Callable[[Seq[Row]], Row]:
+    """``node``'s fold, generated once per (tree, property tuple, approach):
+    a function from the rows (one per activity, in document order) to the
+    aggregate row.
+
+    Row ``i`` is unpacked into ``r<i>``.  Each composite node's column is
+    one statement, ``v<k> = f<m>((child values...))``, which calls the
+    node's formula (:func:`_formulas`) on the tuple of its children's
+    values in child order, as aggregating that property alone does, so
+    every float is the same.  Statements rather than one nested expression
+    keep deep trees within the parser's nesting limit.  The source holds
+    only these generated names and integer indexes; the formulas reach it
+    through the namespace it runs in.
+    """
+    activities = node.activities()
+    positions = {activity.name: i for i, activity in enumerate(activities)}
+    namespace: Dict[str, Callable] = {}
+    lines = [
+        "def fold(rows):",
+        "    " + "".join(f"r{i}, " for i in range(len(activities))) + "= rows",
     ]
-    return lambda rows: tuple([
-        op(column)
-        for op, column in zip(ops, zip(*[child(rows) for child in children]))
-    ])
+
+    def emit(node: Node) -> List[str]:
+        """Append ``node``'s statements; return its column expressions."""
+        if isinstance(node, Leaf):
+            row = f"r{positions[node.activity.name]}"
+            return [f"{row}[{j}]" for j in range(len(props))]
+        formulas = _formulas(node, props, approach)
+        children = [emit(child) for child in node.children()]
+        columns = []
+        for j, formula in enumerate(formulas):
+            name = f"f{len(namespace)}"
+            namespace[name] = formula
+            column = f"v{len(lines)}"
+            values = "".join(f"{child[j]}, " for child in children)
+            lines.append(f"    {column} = {name}(({values}))")
+            columns.append(column)
+        return columns
+
+    root = emit(node)
+    lines.append("    return (" + "".join(f"{c}, " for c in root) + ")")
+    exec(compile("\n".join(lines), "<aggregation fold>", "exec"), namespace)
+    return namespace["fold"]
 
 
 class CompiledAggregation:
@@ -198,7 +249,8 @@ class CompiledAggregation:
     (in :attr:`activities` order), it returns the aggregate row.  Each node
     applies ``sum``, ``math.prod``, ``min`` or ``max`` to the same values in
     the same order as aggregating one property alone, so the floats are
-    identical on every Python version.
+    identical on every Python version.  Equal trees share one generated
+    fold (:func:`_compile`), so building one is cheap after the first.
     """
 
     def __init__(
@@ -211,10 +263,7 @@ class CompiledAggregation:
         self.activities: Tuple[str, ...] = tuple(
             activity.name for activity in node.activities()
         )
-        positions = {name: i for i, name in enumerate(self.activities)}
-        self._fold = _compile(
-            node, positions, tuple(self.properties.values()), approach
-        )
+        self._fold = _compile(node, tuple(self.properties.values()), approach)
 
     def __call__(self, rows: Seq[Row]) -> Row:
         """The aggregate row of one row per activity."""

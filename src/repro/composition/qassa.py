@@ -47,12 +47,14 @@ folding the value rows the weight-free stage keeps.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from operator import ge
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import SelectionError
 from repro.qos.properties import Direction, QoSProperty
@@ -129,13 +131,47 @@ class LocalSelection:
     levels: List[QoSLevel]
     normalizer: Normalizer
     clustering_iterations: int
-    reserve: List[ServiceDescription] = field(default_factory=list)
+    #: Ranks :attr:`reserve` on its first read: most plans fill their
+    #: alternates from the levels and never reach the reserve.
+    rank_reserve: Callable[[], List[ServiceDescription]] = list
     #: The *full* pool's ``(low, high)`` rows (pruned ones included): the
     #: global normaliser is rebuilt from them without rescanning the pool.
     bounds: Tuple[Row, Row] = ((), ())
     #: Each of ``services``' values over the relevant properties in request
     #: order (None if it lacks one): the rows the global phase aggregates.
     rows: Tuple[Optional[Row], ...] = ()
+
+    @functools.cached_property
+    def reserve(self) -> List[ServiceDescription]:
+        """The Pareto-dominated candidates, best local utility first."""
+        return self.rank_reserve()
+
+
+def _ranked_reserve(
+    pool: Sequence[ServiceDescription],
+    pruned: Sequence[Tuple[int, Mapping[str, float]]],
+    weights: Mapping[str, float],
+) -> List[ServiceDescription]:
+    """The services at ``pruned``'s pool positions, by their normalised
+    points' SAW utility under ``weights``, best first (ties in pool
+    order)."""
+    scored = [(point_utility(point, weights), pool[i]) for i, point in pruned]
+    scored.sort(key=lambda pair: -pair[0])
+    return [service for _, service in scored]
+
+
+def _alternates(
+    selection: LocalSelection, chosen: QoSLevel
+) -> Iterator[ServiceDescription]:
+    """``selection``'s services in alternate order: ``chosen``'s members,
+    the other levels' in rank order, then the reserve, which is ranked
+    only if the walk gets that far."""
+    services = selection.services
+    yield from map(services.__getitem__, chosen.member_indexes)
+    for level in selection.levels:
+        if level is not chosen:
+            yield from map(services.__getitem__, level.member_indexes)
+    yield from selection.reserve
 
 
 class QASSA:
@@ -481,7 +517,7 @@ class QASSA:
             span.set(
                 levels=len(selection.levels),
                 kept=len(selection.services),
-                pruned=len(selection.reserve),
+                pruned=len(stage[1]),
                 clustering_iterations=selection.clustering_iterations,
                 cached=cached,
             )
@@ -546,13 +582,10 @@ class QASSA:
         stats: SelectionStatistics,
     ) -> LocalSelection:
         """The part of the local phase the weights drive: SAW utilities of
-        every candidate, the reserve order and the ranking of the cached
-        clusters into QoS levels, over ``services``, the request's pool."""
+        the kept candidates and the ranking of the cached clusters into QoS
+        levels, over ``services``, the request's pool.  The reserve order
+        is computed only if a plan reads :attr:`LocalSelection.reserve`."""
         kept, pruned, normalizer, bounds, clustering, rows = stage
-        scored = [
-            (point_utility(point, weights), services[i]) for i, point in pruned
-        ]
-        scored.sort(key=lambda pair: -pair[0])
         utilities = [point_utility(point, weights) for _, point in kept]
         stats.utility_evaluations += len(utilities)
         return LocalSelection(
@@ -562,7 +595,9 @@ class QASSA:
             levels=rank_levels(clustering.clusters, utilities, weights),
             normalizer=normalizer,
             clustering_iterations=clustering.iterations,
-            reserve=[service for _, service in scored],
+            rank_reserve=functools.partial(
+                _ranked_reserve, services, pruned, weights
+            ),
             bounds=bounds,
             rows=rows,
         )
@@ -725,8 +760,6 @@ class QASSA:
         quota = 1 + self.config.alternates_kept
         for name, rank in zip(names, state):
             sel = locals_[name]
-            services = sel.services
-            chosen = sel.levels[rank]
             ranked = [assignment[name]]
             # Alternates come from the chosen level first, then from the
             # remaining levels in rank order, so each activity retains
@@ -735,12 +768,7 @@ class QASSA:
             # candidates back-fill the quota last: strictly worse than
             # their dominators, but a dominated substitute beats no
             # substitute when providers churn.
-            for service in chain(
-                map(services.__getitem__, chosen.member_indexes),
-                (services[i] for level in sel.levels if level is not chosen
-                 for i in level.member_indexes),
-                sel.reserve,
-            ):
+            for service in _alternates(sel, sel.levels[rank]):
                 if len(ranked) >= quota:
                     break
                 if service not in ranked:
@@ -766,10 +794,12 @@ class _AssignmentScorer:
     ``names`` (the task's activity) order, into that activity's
     :attr:`LocalSelection.services`.  The first call for a tuple folds its
     :attr:`LocalSelection.rows`, scores the aggregate row with
-    :func:`~repro.composition.utility.row_utility` and checks it with
-    :meth:`UserRequest.satisfied_by`, as
-    :func:`~repro.composition.selection.evaluate_assignment` does; later
-    calls return the same ``(aggregate row, utility, feasible)``.  Every call counts in ``stats.utility_evaluations``;
+    :func:`~repro.composition.utility.row_utility` and checks it against
+    each constraint's column, as
+    :func:`~repro.composition.selection.evaluate_assignment` does through
+    :meth:`UserRequest.satisfied_by`; later calls return the same
+    ``(aggregate row, utility, feasible)``.  Every call counts in
+    ``stats.utility_evaluations``;
     :attr:`aggregations` counts the tuples aggregated.  The key is the
     index tuple, not the services: services compare by id, and a
     republished service keeps its id under a different QoS.  One instance
@@ -785,7 +815,6 @@ class _AssignmentScorer:
         approach: AggregationApproach,
         stats: SelectionStatistics,
     ) -> None:
-        self.request = request
         self.names = names
         self.pools = [locals_[name].services for name in names]
         self.rows = [locals_[name].rows for name in names]
@@ -798,6 +827,15 @@ class _AssignmentScorer:
         self.terms = self.normalizer.terms(
             request.normalised_weights(relevant), tuple(relevant)
         )
+        # UserRequest.satisfied_by over the aggregate row's columns; a
+        # constraint on no column fails every assignment, as its missing
+        # value does there.
+        column = {name: i for i, name in enumerate(relevant)}
+        self.checks = [
+            (column[c.property_name], c) for c in request.constraints
+            if c.property_name in column
+        ]
+        self.satisfiable = len(self.checks) == len(request.constraints)
         self.stats = stats
         self.scored: Dict[Tuple[int, ...], Tuple[Row, float, bool]] = {}
 
@@ -814,12 +852,13 @@ class _AssignmentScorer:
                 n: s.advertised_qos for n, s in self.assignment(indexes).items()
             })
         values = self.aggregation(rows)
+        feasible = self.satisfiable
+        for position, constraint in self.checks:
+            if not constraint.satisfied_by(values[position]):
+                feasible = False
+                break
         scored = self.scored[indexes] = (
-            values,
-            row_utility(values, self.terms),
-            self.request.satisfied_by(
-                dict(zip(self.aggregation.properties, values))
-            ),
+            values, row_utility(values, self.terms), feasible,
         )
         return scored
 

@@ -151,12 +151,27 @@ def row_utility(row: Sequence[float], terms: Sequence[SawTerm]) -> float:
 
     Every composition is scored here (:func:`composition_utility`, QASSA's
     global phase, the exact oracle's bound), and it normalises as
-    :meth:`Normalizer.normalise` does, so selectors cannot score a
+    :meth:`Normalizer.normalise` does (:func:`_normalised`, written out
+    here because this loop is QASSA's hottest), so selectors cannot score a
     composition differently.
     """
     total = 0.0
     for weight, position, low, high, negative in terms:
-        total += weight * _normalised(row[position], low, high, negative)
+        # _normalised's arithmetic and clip, which must stay alike: a NaN
+        # score stays NaN here, as min(max(...)) leaves it there.
+        width = high - low
+        if width <= 0:
+            score = 1.0
+        else:
+            if negative:
+                score = (high - row[position]) / width
+            else:
+                score = (row[position] - low) / width
+            if score < 0.0:
+                score = 0.0
+            elif score > 1.0:
+                score = 1.0
+        total += weight * score
     return total
 
 

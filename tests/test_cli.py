@@ -143,6 +143,27 @@ class TestWindowedObservabilityFlags:
         stages = {r["stage"] for r in records}
         assert "discovery" in stages and "execution" in stages
 
+    def test_metrics_out_holds_the_slo_breaches(self, tmp_path):
+        # A 1 µs p99 bound fails every window with traffic; how many
+        # windows there are varies between runs, so the dump is checked
+        # against the verdicts the run printed, not against a count.
+        from repro.observability import read_jsonl
+
+        path = tmp_path / "metrics.jsonl"
+        out = io.StringIO()
+        code = main(["scenario", "shopping", "--serve", "--workers", "2",
+                     "--requests", "8", "--slo", "0.001",
+                     "--metrics-out", str(path)], out=out)
+        assert code == 0
+        breaches = out.getvalue().count("FAIL: p99")
+        assert breaches > 0
+        (count,) = [
+            record["value"] for record in read_jsonl(path)
+            if record["type"] == "metric.counter"
+            and record["name"] == "slo_breaches_total"
+        ]
+        assert count == breaches
+
     def test_experiment_slo_evaluates_windows(self):
         out = io.StringIO()
         code = main(["experiment", "table-iv1", "--slo", "60000"], out=out)

@@ -6,7 +6,9 @@ reading of Table IV.1 — one property at a time, straight from the
 formulas — and checks that :func:`aggregate_values` and
 :func:`aggregate_composition` return the same floats (``repr``-equal) on
 seeded random pattern trees, under every approach, for every aggregation
-kind, and that a missing value raises the same message.
+kind, and that a missing value raises the same message.  It also checks
+the fold's memo: one generated fold per pattern tree, property tuple and
+approach.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.qos.properties import (
 from repro.qos.values import QoSVector
 from repro.composition.aggregation import (
     AggregationApproach,
+    CompiledAggregation,
+    _compile,
     aggregate_composition,
     aggregate_values,
 )
@@ -273,3 +277,86 @@ def test_a_single_activity_aggregates_to_its_own_values(root):
     result = aggregate_composition(Task("one", root), {"A": vector}, props)
     assert repr(result) == repr(vector)
     assert sorted(result.items()) == sorted(vector.items())
+
+
+def deep_task(depth: int = 150) -> Task:
+    """A chain ``depth`` levels deep, alternating loops and sequences that
+    add one activity each.  Few loops iterate twice, so no value
+    overflows."""
+    node: Node = leaf("A0")
+    for level in range(1, depth):
+        if level % 2:
+            node = loop(node, max_iterations=2 if level % 25 == 1 else 1)
+        else:
+            node = sequence(node, leaf(f"A{level}"))
+    return Task("deep", node)
+
+
+def nested_expression(node: Node) -> str:
+    """``node``'s fold as one nested call expression, the form that the
+    generated fold's one statement per node avoids."""
+    if isinstance(node, Leaf):
+        return "r[0]"
+    return "f((" + "".join(
+        f"{nested_expression(child)}, " for child in node.children()
+    ) + "))"
+
+
+@pytest.mark.parametrize("approach", APPROACHES, ids=lambda a: a.value)
+def test_a_tree_150_levels_deep_matches_the_reference(approach):
+    task = deep_task()
+    with pytest.raises(SyntaxError):
+        compile(nested_expression(task.root), "<nested>", "eval")
+    values = random_values(150, task)
+    vectors = {a: QoSVector(v, PROPERTIES) for a, v in values.items()}
+    result = aggregate_composition(task, vectors, PROPERTIES, approach)
+    for name, prop in PROPERTIES.items():
+        expected = reference(
+            prop, task.root, {a: v[name] for a, v in values.items()},
+            approach,
+        )
+        assert repr(result[name]) == repr(expected), name
+
+
+def test_equal_trees_share_one_fold():
+    props = {name: PROPERTIES[name] for name in ("cost", "gain", "reward")}
+    fold = CompiledAggregation(random_task(8).root, props)._fold
+    assert CompiledAggregation(random_task(8).root, props)._fold is fold
+    optimistic = CompiledAggregation(
+        random_task(8).root, props, AggregationApproach.OPTIMISTIC
+    )
+    assert optimistic._fold is not fold
+    reordered = dict(reversed(props.items()))
+    assert CompiledAggregation(random_task(8).root, reordered)._fold \
+        is not fold
+
+
+def test_repeated_aggregate_composition_generates_the_fold_once():
+    # Activity names no other test uses, so the first call misses.
+    task = Task("memo", sequence(
+        leaf("Memo1"), parallel(leaf("Memo2"), loop(leaf("Memo3"), 3)),
+    ))
+    values = random_values(3, task)
+    vectors = {a: QoSVector(v, PROPERTIES) for a, v in values.items()}
+    before = _compile.cache_info()
+    results = [
+        aggregate_composition(task, vectors, PROPERTIES) for _ in range(5)
+    ]
+    after = _compile.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 4)
+    assert len({repr(result) for result in results}) == 1
+
+
+def test_trees_equal_up_to_int_or_float_counts_aggregate_alike():
+    # 2 == 2.0, so these trees share one fold, whichever comes first.
+    values = {"IntA": 2, "IntB": 3, "IntC": 5}
+    for count, probabilities in ((2, (1, 0)), (2.0, (1.0, 0.0))):
+        node = sequence(
+            loop(leaf("IntA"), max_iterations=3, expected_iterations=count),
+            conditional(leaf("IntB"), leaf("IntC"),
+                        probabilities=probabilities),
+        )
+        result = aggregate_values(
+            PROPERTIES["reward"], node, values, AggregationApproach.MEAN
+        )
+        assert repr(result) == "7.0", (count, probabilities)

@@ -12,6 +12,7 @@ from repro.qos.values import QoSVector
 from repro.composition.utility import (
     Normalizer,
     composition_utility,
+    row_utility,
     service_utility,
 )
 
@@ -139,6 +140,29 @@ class TestUtility:
         assert composition_utility(aggregated, normalizer, weights) == (
             service_utility(aggregated, normalizer, weights)
         )
+
+
+@pytest.mark.parametrize("row", [
+    (0.75, 5.0, 40.0),  # inside every span
+    (0.25, 9.0, -10.0),  # below: a positive value clips to 0, a negative to 1
+    (1.5, 1.0, 250.0),  # above: a positive value clips to 1, a negative to 0
+    (float("nan"), 5.0, 62.5),  # NaN
+], ids=["inside", "below", "above", "nan"])
+def test_row_utility_sums_what_normalise_returns(row):
+    """``row_utility`` normalises inline; its sum is ``repr``-equal to
+    ``Normalizer.normalise``'s terms summed in weight order, cost's span
+    being degenerate."""
+    normalizer = Normalizer(PROPS, {
+        "response_time": (0.0, 100.0), "cost": (5.0, 5.0),
+        "availability": (0.5, 1.0),
+    })
+    weights = {"response_time": 0.45, "cost": 0.2, "availability": 0.35}
+    order = ("availability", "cost", "response_time")
+    expected = 0.0
+    for name, weight in weights.items():
+        expected += weight * normalizer.normalise(name, row[order.index(name)])
+    got = row_utility(row, normalizer.terms(weights, order))
+    assert repr(got) == repr(expected)
 
 
 @settings(max_examples=80, deadline=None)
