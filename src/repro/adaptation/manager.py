@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.qos.properties import QoSProperty
 from repro.services.description import ServiceDescription
 from repro.services.discovery import QoSConstraint
+from repro.composition.request import decompose_constraint
 from repro.composition.selection import CompositionPlan
 from repro.adaptation.behavioural import (
     BehaviouralAdaptation,
@@ -84,6 +85,8 @@ class AdaptationManager:
         self.fresh_candidates = fresh_candidates
         self.obs = observability_core.resolve(observability)
         self.plan: Optional[CompositionPlan] = None
+        #: The deployed plan's per-service watch bounds.
+        self._bounds: List[QoSConstraint] = []
         self.log: List[AdaptationOutcome] = []
         self._deployed = False
 
@@ -95,26 +98,25 @@ class AdaptationManager:
         an equal-share heuristic: an additive budget (response time, cost)
         is split evenly across activities; multiplicative/min bounds apply
         to each service directly (a composition can never beat its worst
-        member on those).
+        member on those).  Every service shares the bounds, so they are
+        decomposed once per plan.
         """
         self.plan = plan
         n = max(len(plan.selections), 1)
-        for selection in plan.selections.values():
-            bounds: List[QoSConstraint] = []
-            for constraint in plan.request.constraints:
-                prop = self.properties.get(constraint.property_name)
-                if prop is None:
-                    continue
+        bounds: List[QoSConstraint] = []
+        for constraint in plan.request.constraints:
+            prop = self.properties.get(constraint.property_name)
+            if prop is not None:
                 bounds.append(self._per_service_bound(constraint, prop, n))
-            self.monitor.watch(selection.primary.service_id, bounds)
+        self._bounds = bounds
+        for selection in plan.selections.values():
+            self.monitor.watch(selection.primary.service_id, self._bounds)
         self._deployed = True
 
     @staticmethod
     def _per_service_bound(
         constraint: QoSConstraint, prop: QoSProperty, activity_count: int
     ) -> QoSConstraint:
-        from repro.composition.request import decompose_constraint
-
         return decompose_constraint(constraint, prop, activity_count)
 
     # ------------------------------------------------------------------
@@ -290,15 +292,7 @@ class AdaptationManager:
         raise AdaptationError(f"service {service_id!r} not bound in the plan")
 
     def _rewatch(self, service: ServiceDescription) -> None:
-        assert self.plan is not None
-        n = max(len(self.plan.selections), 1)
-        bounds = []
-        for constraint in self.plan.request.constraints:
-            prop = self.properties.get(constraint.property_name)
-            if prop is None:
-                continue
-            bounds.append(self._per_service_bound(constraint, prop, n))
-        self.monitor.watch(service.service_id, bounds)
+        self.monitor.watch(service.service_id, self._bounds)
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, int]:

@@ -8,8 +8,9 @@ drifting service is flagged *before* it actually breaches the user's
 constraints.
 
 Observations are pushed by the execution engine (or the environment
-simulator); the monitor keeps per-(service, property) series, maintains
-EWMA estimates, and evaluates two kinds of rules:
+simulator); the monitor keeps one series per (service, property), indexed
+by service and then property, maintains EWMA estimates, and evaluates two
+kinds of rules:
 
 * **violation** — the observed value already breaches a bound;
 * **forecast** — the EWMA-projected value breaches a bound while the
@@ -22,7 +23,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.errors import AdaptationError
 from repro.observability import core as observability_core
@@ -127,7 +130,8 @@ class QoSMonitor:
         self.properties = dict(properties)
         self.config = config
         self.obs = observability_core.resolve(observability)
-        self._series: Dict[Tuple[str, str], _Series] = {}
+        #: service id -> property name -> series.
+        self._series: Dict[str, Dict[str, _Series]] = {}
         self._watches: Dict[str, List[QoSConstraint]] = {}
         self._listeners: List[Callable[[AdaptationTrigger], None]] = []
         self._failed: Dict[str, float] = {}
@@ -145,9 +149,7 @@ class QoSMonitor:
     def unwatch(self, service_id: str) -> None:
         self._watches.pop(service_id, None)
         self._failed.pop(service_id, None)
-        stale = [key for key in self._series if key[0] == service_id]
-        for key in stale:
-            del self._series[key]
+        self._series.pop(service_id, None)
 
     def subscribe(
         self, listener: Callable[[AdaptationTrigger], None]
@@ -164,11 +166,13 @@ class QoSMonitor:
     # ------------------------------------------------------------------
     def observe(self, observation: QoSObservation) -> List[AdaptationTrigger]:
         """Ingest one measurement; returns (and dispatches) any triggers."""
-        key = (observation.service_id, observation.property_name)
-        series = self._series.get(key)
+        by_property = self._series.get(observation.service_id)
+        if by_property is None:
+            by_property = self._series[observation.service_id] = {}
+        series = by_property.get(observation.property_name)
         if series is None:
             series = _Series(values=deque(maxlen=self.config.window))
-            self._series[key] = series
+            by_property[observation.property_name] = series
         series.push(observation.value, self.config.alpha)
 
         triggers = self._evaluate(observation, series)
@@ -214,23 +218,44 @@ class QoSMonitor:
     # ------------------------------------------------------------------
     def estimate(self, service_id: str, property_name: str) -> Optional[float]:
         """Current EWMA estimate of a service's property, if observed."""
-        series = self._series.get((service_id, property_name))
+        by_property = self._series.get(service_id)
+        if by_property is None:
+            return None
+        series = by_property.get(property_name)
         return series.ewma if series is not None else None
+
+    def estimated_row(
+        self, service_id: str, fallback: QoSVector, names: Sequence[str]
+    ) -> Tuple[Optional[float], ...]:
+        """The service's run-time QoS estimate over ``names``, in order.
+
+        Each value is the EWMA estimate where the property was observed
+        and ``fallback``'s (advertised) value otherwise; None where
+        ``fallback`` has no value, even when an estimate exists.
+        """
+        by_property = self._series.get(service_id, {})
+        row = []
+        for name in names:
+            value = fallback.get(name)
+            if value is not None:
+                series = by_property.get(name)
+                if series is not None and series.ewma is not None:
+                    value = series.ewma
+            row.append(value)
+        return tuple(row)
 
     def estimated_vector(
         self, service_id: str, fallback: QoSVector
     ) -> QoSVector:
         """The service's run-time QoS estimate, falling back to advertised
         values for properties never observed."""
-        values = {}
-        for name in fallback:
-            estimate = self.estimate(service_id, name)
-            values[name] = estimate if estimate is not None else fallback[name]
-        return QoSVector(values, fallback.properties())
+        names = tuple(fallback)
+        row = self.estimated_row(service_id, fallback, names)
+        return QoSVector(dict(zip(names, row)), fallback.properties())
 
     def projected(self, service_id: str, property_name: str) -> Optional[float]:
         """Short-horizon forecast under the configured method."""
-        series = self._series.get((service_id, property_name))
+        series = self._series.get(service_id, {}).get(property_name)
         if series is None or series.ewma is None:
             return None
         if len(series.values) < self.config.min_samples_for_forecast:

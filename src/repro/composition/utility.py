@@ -153,7 +153,8 @@ def row_utility(row: Sequence[float], terms: Sequence[SawTerm]) -> float:
     global phase, the exact oracle's bound), and it normalises as
     :meth:`Normalizer.normalise` does (:func:`_normalised`, written out
     here because this loop is QASSA's hottest), so selectors cannot score a
-    composition differently.
+    composition differently.  The UTILITY binding policy scores each live
+    service's row of run-time estimates here too.
     """
     total = 0.0
     for weight, position, low, high, negative in terms:

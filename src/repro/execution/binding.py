@@ -19,13 +19,13 @@ are provided:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.errors import BindingError
-from repro.qos.properties import QoSProperty
+from repro.qos.properties import Direction, QoSProperty
 from repro.services.description import ServiceDescription
 from repro.composition.selection import CompositionPlan
-from repro.composition.utility import Normalizer, service_utility
+from repro.composition.utility import SawTerm, row_utility
 from repro.adaptation.monitoring import QoSMonitor
 from repro.observability import core as observability_core
 from repro.resilience.breaker import BreakerRegistry
@@ -119,29 +119,47 @@ class DynamicBinder:
     def _best_by_runtime_utility(
         self, plan: CompositionPlan, alive
     ) -> ServiceDescription:
-        if self.monitor is None:
+        """The live service of best SAW utility over the run-time estimates.
+
+        Each service is one row of :meth:`QoSMonitor.estimated_row` over
+        the weighted properties; each column is normalised over its
+        values' min and max, a property a service does not advertise
+        scores 0, and the first-ranked service wins a tie.
+        """
+        monitor = self.monitor
+        if monitor is None:
             return alive[0]
         # Without any run-time evidence the estimates are just the
         # advertisements QASSA already optimised over — respect the plan's
         # ranking instead of re-ranking on a different (local) utility.
         if not any(
-            self.monitor.estimate(service.service_id, name) is not None
+            monitor.estimate(service.service_id, name) is not None
             for service in alive
             for name in self.properties
         ):
             return alive[0]
         weights = plan.request.normalised_weights(self.properties)
-        vectors = [
-            self.monitor.estimated_vector(s.service_id, s.advertised_qos)
+        names = tuple(weights)
+        rows = [
+            monitor.estimated_row(s.service_id, s.advertised_qos, names)
             for s in alive
         ]
-        normalizer = Normalizer.from_vectors(vectors, self.properties)
-        scored = [
-            (service_utility(vector, normalizer, weights), service)
-            for vector, service in zip(vectors, alive)
-        ]
-        best_utility, best_service = scored[0]
-        for utility, service in scored[1:]:
-            if utility > best_utility:
-                best_utility, best_service = utility, service
-        return best_service
+        terms: List[SawTerm] = []
+        for position, (name, weight) in enumerate(weights.items()):
+            column = [row[position] for row in rows
+                      if row[position] is not None]
+            if column:
+                terms.append((
+                    weight, position, min(column), max(column),
+                    self.properties[name].direction is Direction.NEGATIVE,
+                ))
+        best, best_utility = alive[0], None
+        for row, service in zip(rows, alive):
+            utility = row_utility(
+                row,
+                terms if None not in row
+                else [term for term in terms if row[term[1]] is not None],
+            )
+            if best_utility is None or utility > best_utility:
+                best, best_utility = service, utility
+        return best

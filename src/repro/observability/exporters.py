@@ -173,17 +173,23 @@ def read_jsonl(stream_or_path: Any) -> List[Dict[str, Any]]:
 def stage_breakdown(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
     """Aggregate all spans (roots + descendants) by span name.
 
-    Returns ``name -> {count, total_s, median_s, min_s, max_s}``, sorted
-    by descending total time.
+    Returns ``name -> {count, total_s, self_s, median_s, min_s, max_s}``,
+    sorted by descending total time.  ``self_s`` sums each span's
+    :func:`_self_time`, the part of the stage no child stage accounts for.
     """
     durations: Dict[str, List[float]] = {}
+    self_times: Dict[str, float] = {}
     for root in spans:
         for span in root.walk():
             durations.setdefault(span.name, []).append(span.duration)
+            self_times[span.name] = (
+                self_times.get(span.name, 0.0) + _self_time(span)
+            )
     breakdown = {
         name: {
             "count": float(len(values)),
             "total_s": sum(values),
+            "self_s": self_times[name],
             "median_s": statistics.median(values),
             "min_s": min(values),
             "max_s": max(values),
@@ -195,14 +201,36 @@ def stage_breakdown(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
     )
 
 
+def _self_time(span: Span) -> float:
+    """``span``'s duration less the union of its children's intervals.
+
+    Each child's interval is clipped to the span's own, and overlapping
+    children (a parallel branch's) are counted once, so the result is
+    never negative.
+    """
+    if not span.children:
+        return span.duration
+    start = span.started_wall
+    end = start + span.duration
+    covered, reach = 0.0, start
+    for child in sorted(span.children, key=lambda c: c.started_wall):
+        low = max(child.started_wall, reach)
+        high = min(child.started_wall + child.duration, end)
+        if high > low:
+            covered += high - low
+            reach = high
+    return span.duration - covered
+
+
 def render_breakdown(breakdown: Mapping[str, Mapping[str, float]]) -> str:
     """The per-stage table ``experiment --trace`` prints."""
-    headers = ("stage", "count", "total", "median", "min", "max")
+    headers = ("stage", "count", "total", "self", "median", "min", "max")
     rows = [
         (
             name,
             f"{int(stats['count'])}",
             _format_duration(stats["total_s"]),
+            _format_duration(stats["self_s"]),
             _format_duration(stats["median_s"]),
             _format_duration(stats["min_s"]),
             _format_duration(stats["max_s"]),

@@ -153,3 +153,45 @@ class TestVectors:
         estimated = monitor.estimated_vector("s1", advertised)
         assert estimated["response_time"] == 300.0
         assert estimated["availability"] == 0.95  # never observed
+
+    def test_estimated_row_agrees_with_estimated_vector(self):
+        monitor = make_monitor(alpha=0.5)
+        advertised = QoSVector(
+            {"response_time": 100.0, "availability": 0.95}, PROPS
+        )
+        monitor.observe(obs("s1", "response_time", 300.0, 0.0))
+        monitor.observe(obs("s1", "response_time", 200.0, 1.0))
+        vector = monitor.estimated_vector("s1", advertised)
+        names = ("availability", "response_time")
+        assert monitor.estimated_row("s1", advertised, names) == tuple(
+            vector[name] for name in names
+        ) == (0.95, 250.0)
+        # An unobserved service reads its advertisement.
+        assert monitor.estimated_row("s2", advertised, names) == (0.95, 100.0)
+
+    def test_estimated_row_skips_what_the_fallback_lacks(self):
+        """An estimate alone does not add a property: the vector leaves it
+        out and the row holds None there."""
+        monitor = make_monitor()
+        advertised = QoSVector({"response_time": 100.0}, PROPS)
+        monitor.observe(obs("s1", "availability", 0.5, 0.0))
+        assert "availability" not in monitor.estimated_vector("s1", advertised)
+        assert monitor.estimated_row(
+            "s1", advertised, ("availability", "response_time")
+        ) == (None, 100.0)
+
+
+class TestSeriesIndex:
+    def test_unwatch_drops_exactly_one_services_series(self):
+        monitor = make_monitor()
+        for service in ("s1", "s2", "s3"):
+            monitor.watch(service, [QoSConstraint("response_time", "<=", 1e3)])
+            monitor.observe_vector(service, QoSVector(
+                {"response_time": 80.0, "availability": 0.9}, PROPS
+            ), 0.0)
+        monitor.unwatch("s2")
+        for name in PROPS:
+            assert monitor.estimate("s2", name) is None
+            assert monitor.estimate("s1", name) is not None
+            assert monitor.estimate("s3", name) is not None
+        assert monitor.projected("s2", "response_time") is None

@@ -103,6 +103,27 @@ class TestStageBreakdown:
         # outer contains the inners, so it sorts first.
         assert list(breakdown)[0] == "outer"
 
+    def test_self_time_subtracts_the_union_of_the_children(self):
+        obs = Observability()
+        with obs.span("parent"):
+            with obs.span("child"):
+                pass
+            with obs.span("child"):
+                pass
+        (parent,) = obs.spans
+        first, second = parent.children
+        parent.started_wall, parent.ended_wall = 10.0, 20.0
+        first.started_wall, first.ended_wall = 11.0, 14.0
+        # Overlaps the first child: the union is [11, 16], 5 s long.
+        second.started_wall, second.ended_wall = 13.0, 16.0
+        breakdown = stage_breakdown(obs.spans)
+        assert breakdown["parent"]["total_s"] == 10.0
+        assert breakdown["parent"]["self_s"] == 5.0
+        assert breakdown["child"]["total_s"] == 6.0
+        assert breakdown["child"]["self_s"] == 6.0
+        header = render_breakdown(breakdown).splitlines()[0].split()
+        assert header[:4] == ["stage", "count", "total", "self"]
+
     def test_render_breakdown_table(self):
         obs = _sample_observability()
         text = render_breakdown(stage_breakdown(obs.spans))
